@@ -240,21 +240,11 @@ func benchCycle(b *testing.B, mk func() *cpu.Core) {
 
 // BenchmarkFrontEndCycle is the headline hot-loop benchmark the perf
 // trajectory (BENCH_*.json) tracks: the full Skia front-end cycle —
-// IAG, FTQ, L1-I, shadow decode (memoized), decode verification — with
+// IAG, FTQ, L1-I, shadow decode (table lookups), decode verification — with
 // no observability attached. cmd/skiabench records its ns/op, B/op,
 // allocs/op, and Minsts/s every run.
 func BenchmarkFrontEndCycle(b *testing.B) {
 	benchCycle(b, func() *cpu.Core { return cycleCore(b, cpu.SkiaConfig()) })
-}
-
-// BenchmarkFrontEndCycle_NoDecodeCache is the same loop with the
-// shadow-decode memoization disabled: every line entering the FTQ is
-// re-length-decoded. The gap to BenchmarkFrontEndCycle is the cache's
-// net win.
-func BenchmarkFrontEndCycle_NoDecodeCache(b *testing.B) {
-	cfg := cpu.SkiaConfig()
-	cfg.Frontend.NoDecodeCache = true
-	benchCycle(b, func() *cpu.Core { return cycleCore(b, cfg) })
 }
 
 // BenchmarkFrontEndCycle_Baseline runs the non-Skia baseline front-end

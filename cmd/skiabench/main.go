@@ -257,11 +257,8 @@ type regEntry struct {
 }
 
 func registry() []regEntry {
-	noCache := cpu.SkiaConfig()
-	noCache.Frontend.NoDecodeCache = true
 	return []regEntry{
 		{"frontend-cycle", func() (Entry, error) { return benchCycle(cpu.SkiaConfig()) }, 1},
-		{"frontend-cycle-nocache", func() (Entry, error) { return benchCycle(noCache) }, -1},
 		{"frontend-cycle-baseline", func() (Entry, error) { return benchCycle(cpu.DefaultConfig()) }, 1},
 		{"fig14-reduced", func() (Entry, error) { return benchExperiment(experiments.Fig14) }, -1},
 		{"fig14-sharded", benchFig14Sharded, -1},

@@ -48,28 +48,3 @@ func sbbCheckInvariants(s *SBB) {
 		panic(fmt.Sprintf("skiainvariants: R-SBB holds %d valid entries, capacity %d", valid, s.cfg.REntries))
 	}
 }
-
-// decodeCacheCheckInvariants panics if the memo grew past its
-// configured line bound — the unbounded-map leak class the eviction
-// path exists to prevent — or if the FIFO eviction queue lost track of
-// a live line (which would make evictOne silently under-evict) or grew
-// past its compaction bound.
-//
-//go:noinline
-func decodeCacheCheckInvariants(c *DecodeCache) {
-	if len(c.lines) > c.maxLines {
-		panic(fmt.Sprintf("skiainvariants: decode cache holds %d lines, bound %d", len(c.lines), c.maxLines))
-	}
-	if len(c.order) >= 2*c.maxLines {
-		panic(fmt.Sprintf("skiainvariants: decode cache eviction queue holds %d entries, compaction bound %d", len(c.order), 2*c.maxLines))
-	}
-	queued := make(map[uint64]bool, len(c.order))
-	for _, addr := range c.order {
-		queued[addr] = true
-	}
-	for addr := range c.lines {
-		if !queued[addr] {
-			panic(fmt.Sprintf("skiainvariants: cached line %#x missing from the eviction queue", addr))
-		}
-	}
-}

@@ -89,30 +89,35 @@ type SBDConfig struct {
 	IncludeConditionals bool
 }
 
+// defaultMaxValidPaths is the paper's valid-path cap.
+const defaultMaxValidPaths = 6
+
 // DefaultSBDConfig returns the paper's configuration: both decoders on,
 // six-path cap, First-Index policy, multi-cycle off-critical-path
 // latency.
 func DefaultSBDConfig() SBDConfig {
 	return SBDConfig{
 		Head: true, Tail: true,
-		MaxValidPaths:        6,
+		MaxValidPaths:        defaultMaxValidPaths,
 		Policy:               FirstIndex,
 		Latency:              4,
 		RequireCorroboration: true,
 	}
 }
 
-// ShadowBranch is one branch extracted from a shadow region.
+// ShadowBranch is one branch extracted from a shadow region. Fields are
+// ordered for a 24-byte layout: the shadow-decode table stores one per
+// extracted branch for a workload's lifetime.
 type ShadowBranch struct {
 	// PC is the branch instruction address implied by the decoded path
 	// (which may be wrong — a bogus branch — if the path was plausible
 	// but not the true decode).
 	PC uint64
-	// Class is DirectUncond, Call, or Return.
-	Class isa.Class
 	// Target is the decoded target for DirectUncond and Call; zero for
 	// returns (their target comes from the RAS).
 	Target uint64
+	// Class is DirectUncond, Call, or Return.
+	Class isa.Class
 	// Len is the decoded instruction length, needed to compute the
 	// fall-through (return address) of shadow calls.
 	Len uint8
@@ -140,13 +145,13 @@ type SBD struct {
 	// region.
 	OnHeadPaths func(families int)
 
-	// cache, when non-nil, memoizes head/tail decode results per
-	// (lineAddr, offset); see decodecache.go. The program image is
-	// immutable after linking, so cached entries can only go stale
-	// through capacity pressure, never through content change —
-	// invalidation exists to bound memory, not for correctness.
-	//skia:shared-ok Clone's contract: the owner clones the cache separately and re-attaches it (frontend.Clone does both)
-	cache *DecodeCache
+	// table, when non-nil, is the shared shadow-decode table of the
+	// program being decoded (see shadowtable.go); Head and Tail then
+	// decode each region at most once per table.
+	table *ShadowTable
+	// buf holds the result of an untabled decode until the next call.
+	//skia:shared-ok transient scratch: fully overwritten before every use, never read across calls
+	buf []ShadowBranch
 
 	// scratch buffers reused across calls to avoid allocation in the
 	// simulator's hot loop.
@@ -155,31 +160,36 @@ type SBD struct {
 	visits  [program.LineSize]int
 }
 
-// Clone returns an independent deep copy of the decoder's config,
-// statistics, and scratch state. The OnHeadPaths hook and the attached
-// decode cache are NOT carried over: the hook is a closure over the
-// original owner, and the cache must be cloned separately and
-// re-attached so the copy does not share memo storage.
+// Clone returns an independent copy of the decoder's config,
+// statistics, and scratch state, sharing the immutable decode table.
+// The OnHeadPaths hook is NOT carried over: it is a closure over the
+// original owner.
 func (d *SBD) Clone() *SBD {
-	n := &SBD{cfg: d.cfg, stats: d.stats}
+	n := &SBD{cfg: d.cfg, stats: d.stats, table: d.table}
 	n.lengths = d.lengths
 	n.valid = d.valid
 	n.visits = d.visits
 	return n
 }
 
-// AttachCache installs (or, with nil, removes) a decode cache. The
-// cache memoizes DecodeHead/DecodeTail results so hot L1-I lines
-// re-entering the FTQ skip re-length-decoding; replayed statistics are
-// identical to what the fresh decode would have recorded.
-func (d *SBD) AttachCache(c *DecodeCache) { d.cache = c }
-
-// NewSBD builds a decoder from cfg.
+// NewSBD builds a decoder from cfg. Without an attached table it
+// decodes every region afresh.
 func NewSBD(cfg SBDConfig) *SBD {
 	if cfg.MaxValidPaths <= 0 {
-		cfg.MaxValidPaths = 6
+		cfg.MaxValidPaths = defaultMaxValidPaths
 	}
 	return &SBD{cfg: cfg}
+}
+
+// AttachTable installs (or, with nil, removes) the shadow-decode table
+// of the program this decoder reads. The table must have been built for
+// the decoder's DecodeKey; replayed statistics are identical to a fresh
+// decode's.
+func (d *SBD) AttachTable(t *ShadowTable) {
+	if t != nil && t.key != d.cfg.DecodeKey() {
+		panic("core: shadow-decode table built for a different decode configuration")
+	}
+	d.table = t
 }
 
 // Config returns the decoder configuration.
@@ -191,59 +201,54 @@ func (d *SBD) Stats() SBDStats { return d.stats }
 // ResetStats zeroes the statistics.
 func (d *SBD) ResetStats() { d.stats = SBDStats{} }
 
-// DecodeHead decodes the Head shadow region of a cache line: bytes
+// Head decodes the Head shadow region of a cache line: bytes
 // [0, entryOff) where entryOff is the basic block's entry byte within
 // the line (the branch target that brought the line into the FTQ). It
-// appends extracted branches to dst and returns the result. A nil
-// return with no error means the region was discarded or empty.
+// returns the extracted branches, none when the region was discarded
+// or held no eligible branch. The result is read-only and, without a
+// table, valid only until the decoder's next call.
+//
 //skia:noalloc
-func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) []ShadowBranch {
+func (d *SBD) Head(line []byte, lineAddr uint64, entryOff int) []ShadowBranch {
 	if !d.cfg.Head || entryOff <= 0 || entryOff > len(line) {
-		return dst
+		return nil
 	}
-	if d.cache != nil {
-		if e, ok := d.cache.lookup(lineAddr, entryOff, regionHead); ok {
-			if d.cache.differential {
-				d.cache.checkHead(d, e, line, lineAddr, entryOff)
-			}
-			d.stats.HeadRegions++
-			if e.noValid {
-				d.stats.HeadNoValidPath++
-			}
-			if e.discarded {
-				d.stats.HeadDiscarded++
-			}
-			d.stats.HeadBranches += uint64(len(e.branches))
-			if d.OnHeadPaths != nil {
-				d.OnHeadPaths(int(e.nFamilies))
-			}
-			return append(dst, e.branches...)
+	r, ok := decoded{}, false
+	if d.table != nil {
+		r, ok = d.table.lookup(lineAddr, entryOff, 0)
+	}
+	if !ok {
+		d.buf, r.nFamilies, r.noValid, r.discarded = d.headCore(line, lineAddr, entryOff, d.buf[:0])
+		r.branches = d.buf
+		if d.table != nil {
+			r = d.table.publish(lineAddr, entryOff, 0, r)
 		}
 	}
-	n0 := len(dst)
-	dst, nFamilies, noValid, discarded := d.headCore(line, lineAddr, entryOff, dst)
 	d.stats.HeadRegions++
-	if noValid {
+	if r.noValid {
 		d.stats.HeadNoValidPath++
 	}
-	if discarded {
+	if r.discarded {
 		d.stats.HeadDiscarded++
 	}
-	d.stats.HeadBranches += uint64(len(dst) - n0)
+	d.stats.HeadBranches += uint64(len(r.branches))
 	if d.OnHeadPaths != nil {
-		d.OnHeadPaths(nFamilies)
+		d.OnHeadPaths(r.nFamilies)
 	}
-	if d.cache != nil {
-		d.cache.record(lineAddr, entryOff, regionHead, dst[n0:], nFamilies, noValid, discarded)
-	}
-	return dst
+	return r.branches
 }
 
-// headCore is DecodeHead's side-effect-free body: it appends extracted
+// DecodeHead is Head appending to dst.
+func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) []ShadowBranch {
+	return append(dst, d.Head(line, lineAddr, entryOff)...)
+}
+
+// headCore is Head's side-effect-free body: it appends extracted
 // branches to dst and reports the path-family count plus the two
 // outcome flags, without touching d.stats or the OnHeadPaths hook. The
-// split exists so the decode cache can replay exactly the statistics a
-// fresh decode would have produced.
+// split exists so a table hit can replay exactly the statistics a fresh
+// decode would have produced.
+//
 //skia:noalloc
 func (d *SBD) headCore(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) (out []ShadowBranch, nFam int, noValid, discarded bool) {
 	// Phase 1 — Index Computation: the length of the instruction
@@ -337,38 +342,42 @@ func (d *SBD) headCore(line []byte, lineAddr uint64, entryOff int, dst []ShadowB
 	return dst, nFamilies, false, false
 }
 
-// DecodeTail decodes the Tail shadow region: bytes [startOff, lineEnd)
+// Tail decodes the Tail shadow region: bytes [startOff, lineEnd)
 // following the taken branch that exits the line. The start byte is
 // unambiguous (the exiting branch's end is known), so decoding is a
 // single forward walk (Section 3.3). Decoding stops at an undecodable
-// byte or an instruction crossing the line end.
+// byte or an instruction crossing the line end. The result is read-only,
+// as for Head.
+//
 //skia:noalloc
-func (d *SBD) DecodeTail(line []byte, lineAddr uint64, startOff int, dst []ShadowBranch) []ShadowBranch {
+func (d *SBD) Tail(line []byte, lineAddr uint64, startOff int) []ShadowBranch {
 	if !d.cfg.Tail || startOff < 0 || startOff >= len(line) {
-		return dst
+		return nil
 	}
-	if d.cache != nil {
-		if e, ok := d.cache.lookup(lineAddr, startOff, regionTail); ok {
-			if d.cache.differential {
-				d.cache.checkTail(d, e, line, lineAddr, startOff)
-			}
-			d.stats.TailRegions++
-			d.stats.TailBranches += uint64(len(e.branches))
-			return append(dst, e.branches...)
+	r, ok := decoded{}, false
+	if d.table != nil {
+		r, ok = d.table.lookup(lineAddr, startOff, regionTail)
+	}
+	if !ok {
+		d.buf = d.tailCore(line, lineAddr, startOff, d.buf[:0])
+		r.branches = d.buf
+		if d.table != nil {
+			r = d.table.publish(lineAddr, startOff, regionTail, r)
 		}
 	}
-	n0 := len(dst)
-	dst = d.tailCore(line, lineAddr, startOff, dst)
 	d.stats.TailRegions++
-	d.stats.TailBranches += uint64(len(dst) - n0)
-	if d.cache != nil {
-		d.cache.record(lineAddr, startOff, regionTail, dst[n0:], 0, false, false)
-	}
-	return dst
+	d.stats.TailBranches += uint64(len(r.branches))
+	return r.branches
 }
 
-// tailCore is DecodeTail's side-effect-free body: a single forward walk
+// DecodeTail is Tail appending to dst.
+func (d *SBD) DecodeTail(line []byte, lineAddr uint64, startOff int, dst []ShadowBranch) []ShadowBranch {
+	return append(dst, d.Tail(line, lineAddr, startOff)...)
+}
+
+// tailCore is Tail's side-effect-free body: a single forward walk
 // appending extracted branches to dst, with no statistics updates.
+//
 //skia:noalloc
 func (d *SBD) tailCore(line []byte, lineAddr uint64, startOff int, dst []ShadowBranch) []ShadowBranch {
 	for p := startOff; p < len(line); {
@@ -384,6 +393,7 @@ func (d *SBD) tailCore(line []byte, lineAddr uint64, startOff int, dst []ShadowB
 
 // extract decodes the instruction at line[off] and appends it to dst if
 // it is a shadow-eligible branch fully contained in the line.
+//
 //skia:noalloc
 func (d *SBD) extract(line []byte, lineAddr uint64, off int, dst []ShadowBranch) []ShadowBranch {
 	in, ok := isa.TryDecode(line[off:], lineAddr+uint64(off))

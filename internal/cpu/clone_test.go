@@ -3,36 +3,34 @@ package cpu
 import (
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
 // cloneConfigs enumerates the structurally distinct front-end shapes a
 // checkpoint must capture: baseline (no SBB/SBD), full Skia (SBB + SBD
-// + decode cache + L1-I eviction hook), Skia without the decode cache,
-// the SBD-into-BTB ablation (no SBB), and a BTB large enough to
-// trigger the access-latency config adjustment New applies.
+// over the workload's shared decode table), Skia under a second decode
+// configuration (its own table on the same workload), the SBD-into-BTB
+// ablation (no SBB), and a BTB large enough to trigger the
+// access-latency config adjustment New applies.
 func cloneConfigs() map[string]Config {
 	skia := SkiaConfig()
-	noCache := SkiaConfig()
-	noCache.Frontend.NoDecodeCache = true
+	merge := SkiaConfig()
+	merge.Frontend.SBD.Policy = core.MergeIndex
+	merge.Frontend.SBD.IncludeConditionals = true
 	toBTB := SkiaConfig()
 	toBTB.Frontend.SBDToBTB = true
 	bigBTB := SkiaConfig()
 	bigBTB.Frontend.BTB.Entries = 65536
-	tinyDC := SkiaConfig()
-	tinyDC.Frontend.DecodeCacheLines = 4
 	return map[string]Config{
-		"baseline":     DefaultConfig(),
-		"skia":         skia,
-		"skia-nocache": noCache,
-		"sbd-to-btb":   toBTB,
-		"big-btb":      bigBTB,
-		// A 4-line decode cache keeps the capacity bound under constant
-		// pressure, so clones are taken with populated free lists and
-		// every interval crosses eviction/recycling churn.
-		"tiny-dcache": tinyDC,
+		"baseline":         DefaultConfig(),
+		"skia":             skia,
+		"skia-merge-conds": merge,
+		"sbd-to-btb":       toBTB,
+		"big-btb":          bigBTB,
 	}
 }
 
@@ -52,8 +50,7 @@ func cloneWorkload(t *testing.T, name string) *workload.Workload {
 // compareCores fails the test if the two cores' observable states
 // diverge: the full result snapshot (which covers every component's
 // statistics — front-end, L1I, L2, BTB, TAGE, ITTAGE, SBB, SBD), the
-// interval sample, the decode-cache counters, and the probe-candidate
-// footprint. The comparison is byte-level on the marshaled result, the
+// interval sample, and the probe-candidate footprint. The comparison is byte-level on the marshaled result, the
 // strongest equality the ISSUE's "byte-identical" criterion asks for.
 func compareCores(t *testing.T, label string, a, b *Core) {
 	t.Helper()
@@ -71,13 +68,6 @@ func compareCores(t *testing.T, label string, a, b *Core) {
 	}
 	if !reflect.DeepEqual(a.Sample(), b.Sample()) {
 		t.Errorf("%s: interval samples differ: %+v vs %+v", label, a.Sample(), b.Sample())
-	}
-	da, db := a.Frontend().DecodeCache(), b.Frontend().DecodeCache()
-	if (da == nil) != (db == nil) {
-		t.Fatalf("%s: decode cache presence differs", label)
-	}
-	if da != nil && da.Stats() != db.Stats() {
-		t.Errorf("%s: decode cache stats differ: %+v vs %+v", label, da.Stats(), db.Stats())
 	}
 	if a.Frontend().ExtraOffLines() != b.Frontend().ExtraOffLines() {
 		t.Errorf("%s: probe-candidate footprints differ: %d vs %d",
@@ -143,11 +133,7 @@ func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 	w := cloneWorkload(t, "voter")
 	const horizon = 400_000
 
-	// The tiny-dcache shape is the regression case for the decode-cache
-	// free list: with a 4-line bound every snapshot lands between
-	// evictions, so the clone starts with recycled storage in flight
-	// mid-interval and must still replay the reference bit-for-bit.
-	for _, cfgName := range []string{"skia", "tiny-dcache"} {
+	for _, cfgName := range []string{"skia"} {
 		cfg := cloneConfigs()[cfgName]
 		t.Run(cfgName, func(t *testing.T) {
 			ref, err := New(cfg, w)
@@ -175,17 +161,6 @@ func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 				cl.Run(horizon - pos)
 				if got := cl.Result("w"); !reflect.DeepEqual(want, got) {
 					t.Errorf("clone at %d instructions diverged from the uninterrupted run:\n  want %+v\n  got  %+v", pos, want, got)
-				}
-				if dc := cl.Frontend().DecodeCache(); dc != nil && dc.Stats() != ref.Frontend().DecodeCache().Stats() {
-					t.Errorf("clone at %d instructions: decode cache counters diverged: %+v vs %+v",
-						pos, dc.Stats(), ref.Frontend().DecodeCache().Stats())
-				}
-			}
-			if cfgName == "tiny-dcache" {
-				// The case is only a regression test if eviction pressure
-				// actually materialized.
-				if ev := ref.Frontend().DecodeCache().Stats().Evictions; ev == 0 {
-					t.Fatal("tiny-dcache run saw no evictions; the free-list case is not being exercised")
 				}
 			}
 		})
@@ -248,6 +223,53 @@ func TestFastForwardMatchesDetailPosition(t *testing.T) {
 		}
 		if fr := c.Result("w").FE.ForcedResyncs; fr != 0 {
 			t.Fatalf("%s: %d forced resyncs", name, fr)
+		}
+	}
+}
+
+// TestCoresShareShadowTableConcurrently steps two cores of one workload
+// in parallel goroutines. Their decoders differ only in decode-
+// irrelevant fields, so both read and fill the workload's single
+// shadow-decode table at once; each result must equal a run of the
+// same core alone on a fresh workload.
+func TestCoresShareShadowTableConcurrently(t *testing.T) {
+	both := SkiaConfig()
+	headOnly := SkiaConfig()
+	headOnly.Frontend.SBD.Tail = false
+	cfgs := []Config{both, headOnly}
+	const n = 150_000
+
+	want := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		c, err := New(cfg, cloneWorkload(t, "voter"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(n)
+		want[i] = c.Result("w")
+	}
+
+	w := cloneWorkload(t, "voter")
+	cores := make([]*Core, len(cfgs))
+	for i, cfg := range cfgs {
+		c, err := New(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores[i] = c
+	}
+	var wg sync.WaitGroup
+	for _, c := range cores {
+		wg.Add(1)
+		go func(c *Core) {
+			defer wg.Done()
+			c.Run(n)
+		}(c)
+	}
+	wg.Wait()
+	for i, c := range cores {
+		if got := c.Result("w"); !reflect.DeepEqual(want[i], got) {
+			t.Errorf("core %d on the shared table diverged:\n  want %+v\n  got  %+v", i, want[i], got)
 		}
 	}
 }

@@ -48,11 +48,6 @@ type Options struct {
 	// Attrib enables miss attribution on every run; per-spec summaries
 	// are embedded in the report envelope's `attribution` section.
 	Attrib bool
-	// NoDecodeCache disables the simulator-side shadow-decode
-	// memoization (see frontend.Config.NoDecodeCache) on every run.
-	// Reports are identical either way — the flag exists for
-	// differential testing and performance comparison.
-	NoDecodeCache bool
 	// Sample, when non-nil, switches every run to sampled simulation
 	// (see sim.SamplePlan): K detail intervals spliced evenly across
 	// the measurement window, skipped-over stretches covered by
@@ -154,20 +149,12 @@ func (r *Report) String() string {
 	return s
 }
 
-// config applies run-wide Options toggles to a core configuration.
-// Every spec builder routes its config through here so switches like
-// NoDecodeCache reach ad-hoc ablation configs too.
-func (o Options) config(c cpu.Config) cpu.Config {
-	c.Frontend.NoDecodeCache = o.NoDecodeCache
-	return c
-}
-
 // baselineSpec builds the paper's Table 1 baseline spec for a
 // benchmark.
 func baselineSpec(bench string, o Options) sim.RunSpec {
 	return sim.RunSpec{
 		Benchmark: bench,
-		Config:    o.config(cpu.DefaultConfig()),
+		Config:    cpu.DefaultConfig(),
 		Warmup:    o.Warmup,
 		Measure:   o.Measure,
 		Label:     "baseline",
@@ -178,7 +165,7 @@ func baselineSpec(bench string, o Options) sim.RunSpec {
 func skiaSpec(bench string, o Options) sim.RunSpec {
 	return sim.RunSpec{
 		Benchmark: bench,
-		Config:    o.config(cpu.SkiaConfig()),
+		Config:    cpu.SkiaConfig(),
 		Warmup:    o.Warmup,
 		Measure:   o.Measure,
 		Label:     "skia",

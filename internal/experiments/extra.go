@@ -105,7 +105,7 @@ func AblationIndexPolicy(o Options) (*Report, error) {
 		cfg := cpu.SkiaConfig()
 		cfg.Frontend.SBD.Policy = pol
 		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
+			specs = append(specs, sim.RunSpec{Benchmark: b, Config: cfg,
 				Warmup: o.Warmup, Measure: o.Measure, Label: pol.String()})
 		}
 	}
@@ -151,7 +151,7 @@ func AblationPathCap(o Options, caps []int) (*Report, error) {
 		cfg := cpu.SkiaConfig()
 		cfg.Frontend.SBD.MaxValidPaths = c
 		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
+			specs = append(specs, sim.RunSpec{Benchmark: b, Config: cfg,
 				Warmup: o.Warmup, Measure: o.Measure, Label: fmt.Sprintf("cap%d", c)})
 		}
 	}
@@ -211,7 +211,7 @@ func AblationReplacement(o Options) (*Report, error) {
 		cfg.Frontend.SBB.RetiredFirstEviction = v.retiredFirst
 		cfg.Frontend.SBB.FilterBTBResident = v.filter
 		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
+			specs = append(specs, sim.RunSpec{Benchmark: b, Config: cfg,
 				Warmup: o.Warmup, Measure: o.Measure, Label: v.name})
 		}
 	}
@@ -258,11 +258,11 @@ func AblationInsertIntoBTB(o Options) (*Report, error) {
 		specs = append(specs, baselineSpec(b, o))
 	}
 	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(sbbCfg),
+		specs = append(specs, sim.RunSpec{Benchmark: b, Config: sbbCfg,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "sbb"})
 	}
 	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(directCfg),
+		specs = append(specs, sim.RunSpec{Benchmark: b, Config: directCfg,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "direct-to-btb"})
 	}
 	results, err := r.RunAll(specs)
@@ -308,7 +308,7 @@ func AblationWrongPath(o Options) (*Report, error) {
 		specs = append(specs, baselineSpec(b, o))
 	}
 	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(noWP),
+		specs = append(specs, sim.RunSpec{Benchmark: b, Config: noWP,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "no-wrong-path"})
 	}
 	results, err := r.RunAll(specs)
@@ -352,7 +352,7 @@ func ExtensionShadowConds(o Options) (*Report, error) {
 		specs = append(specs, skiaSpec(b, o))
 	}
 	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(ext),
+		specs = append(specs, sim.RunSpec{Benchmark: b, Config: ext,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "skia+conds"})
 	}
 	results, err := r.RunAll(specs)

@@ -109,7 +109,7 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 		for _, g := range gens {
 			for _, b := range benches {
 				specs = append(specs, sim.RunSpec{
-					Benchmark: b, Config: o.config(g.mk(size)),
+					Benchmark: b, Config: g.mk(size),
 					Warmup: o.Warmup, Measure: o.Measure,
 					Label: fmt.Sprintf("%s/%d", g.name, size),
 				})
@@ -257,7 +257,7 @@ func Fig14(o Options) (*Report, error) {
 				cfg = cpu.DefaultConfig()
 			}
 			specs = append(specs, sim.RunSpec{
-				Benchmark: b, Config: o.config(cfg),
+				Benchmark: b, Config: cfg,
 				Warmup: o.Warmup, Measure: o.Measure, Label: v.name,
 			})
 		}
@@ -334,7 +334,7 @@ func Fig16(o Options) (*Report, error) {
 		specs = append(specs, baselineSpec(b, o))
 	}
 	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(augmented),
+		specs = append(specs, sim.RunSpec{Benchmark: b, Config: augmented,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "btb+state"})
 	}
 	for _, b := range benches {
@@ -404,7 +404,7 @@ func Fig17(o Options) (*Report, error) {
 		cfg := cpu.SkiaConfig()
 		cfg.Frontend.SBB = mkSplit(frac)
 		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
+			specs = append(specs, sim.RunSpec{Benchmark: b, Config: cfg,
 				Warmup: o.Warmup, Measure: o.Measure, Label: fmt.Sprintf("split %.2f", frac)})
 		}
 	}
@@ -412,7 +412,7 @@ func Fig17(o Options) (*Report, error) {
 		cfg := cpu.SkiaConfig()
 		cfg.Frontend.SBB = mkScale(scale)
 		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
+			specs = append(specs, sim.RunSpec{Benchmark: b, Config: cfg,
 				Warmup: o.Warmup, Measure: o.Measure, Label: fmt.Sprintf("scale %.2f", scale)})
 		}
 	}

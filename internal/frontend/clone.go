@@ -9,7 +9,7 @@ import (
 
 // Checkpoint/restore for the front-end. Clone produces an independent
 // deep copy of the complete simulation state — emulator, caches, BTB,
-// direction/target predictors, RAS, SBB/SBD, decode cache, FTQ, and
+// direction/target predictors, RAS, SBB/SBD, FTQ, and
 // every in-flight IAG/decode slot — so a warmed front-end can be
 // captured once and re-run many times (config sweeps sharing a warmup
 // prefix, sampled simulation, intra-run sharding). FastForward advances
@@ -36,9 +36,10 @@ func cloneBlock(b Block) Block {
 //
 // Observability attachments do not carry over: the clone starts with no
 // tracer and no attribution engine (callers attach their own), and
-// every component hook that is a closure over the owner — the L1-I
-// eviction hook into the decode cache, the SBB OnRemove pruner, the
-// SBD/SBB observer hooks — is re-wired to the clone rather than copied.
+// every component hook that is a closure over the owner — the SBB
+// OnRemove pruner, the SBD/SBB observer hooks — is re-wired to the
+// clone rather than copied. The workload's shadow-decode table is
+// immutable and shared, so the clone's SBD keeps the same pointer.
 func (f *FrontEnd) Clone() *FrontEnd {
 	n := &FrontEnd{
 		cfg: f.cfg,
@@ -82,11 +83,6 @@ func (f *FrontEnd) Clone() *FrontEnd {
 	}
 	if f.sbd != nil {
 		n.sbd = f.sbd.Clone()
-	}
-	if f.dcache != nil {
-		n.dcache = f.dcache.Clone()
-		n.sbd.AttachCache(n.dcache)
-		n.l1i.OnEvict = n.dcache.InvalidateLine
 	}
 	if f.sbb != nil {
 		n.sbb = f.sbb.Clone()
@@ -286,44 +282,25 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	return skipped
 }
 
-// warmDecodeKey identifies one shadow-decode region for the warm-skip
-// memo: the line, the region boundary offset within it, and whether it
-// is the head or the tail side of that boundary.
-type warmDecodeKey struct {
-	lineAddr uint64
-	off      int8
-	head     bool
-}
-
 // warmShadowDecode runs one head or tail shadow decode during
 // functional warming, mirroring runSBDTasks: the line is brought (or
 // kept) resident, decoded, and the results inserted into the SBB (or
 // the BTB under the SBDToBTB ablation) with probe-candidate
 // registration. Timing-only concerns — the SBD latency and the
-// evicted-before-decode race — are not modeled. Decode results are
-// memoized for the front-end's lifetime (they are pure functions of
-// the immutable program bytes), which keeps the warm skip's cost
+// evicted-before-decode race — are not modeled. Decodes come from the
+// workload's shadow-decode table, which keeps the warm skip's cost
 // proportional to the distinct regions touched, not to the dynamic
 // taken-branch count.
 func (f *FrontEnd) warmShadowDecode(lineAddr uint64, off int, head bool) {
 	if !f.l1i.Prefetch(lineAddr) {
 		f.l2.Prefetch(lineAddr)
 	}
-	if f.warmMemo == nil {
-		f.warmMemo = make(map[warmDecodeKey][]core.ShadowBranch)
-	}
-	key := warmDecodeKey{lineAddr: lineAddr, off: int8(off), head: head}
-	sbs, ok := f.warmMemo[key]
-	if !ok {
-		line := f.w.Prog.Line(lineAddr)
-		if line != nil {
-			if head {
-				sbs = f.sbd.DecodeHead(line, lineAddr, off, nil)
-			} else {
-				sbs = f.sbd.DecodeTail(line, lineAddr, off, nil)
-			}
-		}
-		f.warmMemo[key] = sbs
+	line := f.w.Prog.Line(lineAddr)
+	var sbs []core.ShadowBranch
+	if head {
+		sbs = f.sbd.Head(line, lineAddr, off)
+	} else {
+		sbs = f.sbd.Tail(line, lineAddr, off)
 	}
 	for _, sb := range sbs {
 		if f.cfg.SBDToBTB {

@@ -139,10 +139,7 @@ type FrontEnd struct {
 	hasPending bool
 	done       bool
 	err        error
-	// scratch is a per-call decode buffer, dead between Cycle calls.
-	//skia:shared-ok transient scratch: fully overwritten before every use, never holds state across cycles
-	scratch  []core.ShadowBranch
-	sbdTasks []sbdTask
+	sbdTasks   []sbdTask
 	// extraOffs registers SBB-inserted PCs that are not static branch
 	// starts as probe candidates: one bit per byte offset in the line
 	// (LineSize = 64). Bits are cleared through the SBB's OnRemove hook
@@ -154,18 +151,6 @@ type FrontEnd struct {
 	// condPool recycles Conds backing arrays across dead blocks.
 	//skia:shared-ok allocation-recycling pool: a clone starting empty re-allocates on first use, results are unaffected
 	condPool [][]CondRec
-	// dcache memoizes shadow decodes (nil when disabled); invalidated by
-	// the L1-I eviction hook.
-	dcache *core.DecodeCache
-	// warmMemo memoizes shadow-decode results during warm fast-forward,
-	// keyed by region. Unlike dcache it is never invalidated: decode
-	// results are pure functions of the immutable program bytes, and
-	// hit vs. miss is result-identical (only SBD/dcache statistics
-	// differ, which warm skipping perturbs freely anyway). Lazily
-	// built; not carried across Clone.
-	//skia:shared-ok pure-function memo over immutable program bytes: a clone rebuilding it lazily is result-identical
-	warmMemo map[warmDecodeKey][]core.ShadowBranch
-
 	// tr, when non-nil, observes re-steers, misses, and shadow-decode
 	// events; every emission site nil-checks it so a disabled trace
 	// costs one comparison per event.
@@ -215,11 +200,7 @@ func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 	}
 	if cfg.Skia {
 		f.sbd = core.NewSBD(cfg.SBD)
-		if !cfg.NoDecodeCache {
-			f.dcache = core.NewDecodeCache(cfg.DecodeCacheLines, cfg.DecodeCacheDiff)
-			f.sbd.AttachCache(f.dcache)
-			f.l1i.OnEvict = f.dcache.InvalidateLine
-		}
+		f.sbd.AttachTable(w.ShadowTable(cfg.SBD))
 		if !cfg.SBDToBTB {
 			sbb, err := core.NewSBB(cfg.SBB)
 			if err != nil {
@@ -264,9 +245,6 @@ func (f *FrontEnd) SBB() *core.SBB { return f.sbb }
 
 // SBD exposes the shadow branch decoder (nil without Skia).
 func (f *FrontEnd) SBD() *core.SBD { return f.sbd }
-
-// DecodeCache exposes the shadow-decode memo (nil when disabled).
-func (f *FrontEnd) DecodeCache() *core.DecodeCache { return f.dcache }
 
 // ExtraOffLines reports how many lines currently carry SBB-discovered
 // probe candidates, for footprint tests.
@@ -423,6 +401,7 @@ func (f *FrontEnd) flushFTQ() {
 
 // pruneShadowOff clears pc's probe-candidate bit once its SBB entry is
 // gone (wired to the SBB's OnRemove hook).
+//
 //skia:noalloc
 func (f *FrontEnd) pruneShadowOff(pc uint64) {
 	la := program.LineAddr(pc)
@@ -441,6 +420,7 @@ func (f *FrontEnd) pruneShadowOff(pc uint64) {
 // Step advances the front-end by one cycle and returns the number of
 // true-path instructions decoded (delivered to the backend) this cycle.
 // maxDecode lets the caller apply backpressure (ROB full).
+//
 //skia:noalloc
 func (f *FrontEnd) Step(maxDecode int) int {
 	f.cycle++
@@ -541,6 +521,7 @@ func (f *FrontEnd) applyRedirect() {
 // a bitmask (bit i = byte offset i): the static branch starts plus any
 // PCs the SBD has (possibly bogusly) inserted. One OR replaces the
 // sorted-slice merge the scan used to allocate for.
+//
 //skia:noalloc
 func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 	m := f.w.BranchMask(lineAddr)
@@ -553,6 +534,7 @@ func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 // formBlock builds the next predicted basic block from specPC,
 // consulting BTB, SBB, TAGE, ITTAGE and RAS, issues its prefetches, and
 // schedules shadow decodes.
+//
 //skia:noalloc
 func (f *FrontEnd) formBlock() Block {
 	blk := Block{
@@ -724,6 +706,7 @@ scan:
 
 // terminateViaBTB handles a BTB hit during the scan. It returns true
 // when the block terminates at pc.
+//
 //skia:noalloc
 func (f *FrontEnd) terminateViaBTB(blk *Block, pc uint64, e btb.Entry) bool {
 	switch e.Class {
@@ -768,6 +751,9 @@ func (f *FrontEnd) terminateViaBTB(blk *Block, pc uint64, e btb.Entry) bool {
 
 // runSBDTasks executes shadow decodes whose latency has elapsed and
 // whose line is still L1-I resident, inserting results into the SBB.
+// Decodes come from the workload's shared shadow-decode table, so a
+// region re-entering the FTQ is looked up, not length-decoded again.
+//
 //skia:noalloc
 func (f *FrontEnd) runSBDTasks() {
 	kept := f.sbdTasks[:0]
@@ -783,13 +769,13 @@ func (f *FrontEnd) runSBDTasks() {
 		if line == nil {
 			continue
 		}
-		f.scratch = f.scratch[:0]
+		var sbs []core.ShadowBranch
 		if t.head {
-			f.scratch = f.sbd.DecodeHead(line, t.lineAddr, t.off, f.scratch)
+			sbs = f.sbd.Head(line, t.lineAddr, t.off)
 		} else {
-			f.scratch = f.sbd.DecodeTail(line, t.lineAddr, t.off, f.scratch)
+			sbs = f.sbd.Tail(line, t.lineAddr, t.off)
 		}
-		for _, sb := range f.scratch {
+		for _, sb := range sbs {
 			if f.cfg.SBDToBTB {
 				// Ablation: shadow branches go straight into the BTB.
 				f.btb.Insert(sb.PC, btb.Entry{
@@ -820,6 +806,7 @@ func (f *FrontEnd) runSBDTasks() {
 
 // noteSBBInsert tracks bogus inserts (oracle check) and registers the
 // PC as a probe candidate so the IAG scan can see it.
+//
 //skia:noalloc
 func (f *FrontEnd) noteSBBInsert(sb core.ShadowBranch) {
 	in, ok := f.w.InstAt(sb.PC)
@@ -850,6 +837,7 @@ func lineResidency(blk *Block, pc uint64) bool {
 // covered reports whether the SBB supplied the branch in time (the
 // block steered through it with matching class, so no re-steer was
 // paid); it feeds the attribution taxonomy.
+//
 //skia:noalloc
 func (f *FrontEnd) countBTBMiss(blk *Block, in isa.Inst, covered bool) {
 	switch in.Class {
@@ -883,6 +871,7 @@ func (f *FrontEnd) insertBTB(in isa.Inst, target uint64) {
 // decode verifies up to max instructions of the predicted stream
 // against the true stream and returns how many true-path instructions
 // were delivered.
+//
 //skia:noalloc
 func (f *FrontEnd) decode(max int) int {
 	if max > f.cfg.DecodeWidth {

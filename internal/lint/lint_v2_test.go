@@ -63,7 +63,6 @@ func TestCloneCompleteCoversCheckpointTypes(t *testing.T) {
 		{"repro/internal/emu", "Emulator"},
 		{"repro/internal/core", "SBD"},
 		{"repro/internal/core", "SBB"},
-		{"repro/internal/core", "DecodeCache"},
 		{"repro/internal/btb", "BTB"},
 		{"repro/internal/tage", "Predictor"},
 		{"repro/internal/ittage", "Predictor"},

@@ -42,7 +42,7 @@ func clearAll(m map[string]int) {
 	}
 }
 
-// evictOne is the decode-cache eviction pattern: arbitrary selection
+// evictOne is a memo-cache eviction pattern: arbitrary selection
 // justified by a directive because it cannot reach simulation output.
 func evictOne(m map[string]int) {
 	//skia:detmap-ok arbitrary victim is result-identical here, order reaches throughput only

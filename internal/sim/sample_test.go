@@ -447,3 +447,40 @@ func TestPlannedInstsSampled(t *testing.T) {
 		t.Errorf("sampled planned %d, want %d", got, want)
 	}
 }
+
+// TestSampledShardsShareShadowTable runs a 2-shard sampled sweep whose
+// two specs (both decoders, head only) share one workload and
+// therefore one shadow-decode table, which their interval cores fill
+// concurrently. Every result must be DeepEqual to a serial run of the
+// same spec on a runner of its own.
+func TestSampledShardsShareShadowTable(t *testing.T) {
+	both := sampleSpec("voter", true)
+	both.Measure = 400_000
+	headOnly := both
+	headOnly.Config.Frontend.SBD.Tail = false
+	headOnly.Label = "voter/head"
+	var specs []RunSpec
+	for _, s := range []RunSpec{both, headOnly} {
+		s.Sample = &SamplePlan{Intervals: 4, Shards: 2}
+		specs = append(specs, s)
+	}
+
+	r := NewRunner()
+	r.Workers = 2
+	shared, err := r.RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range specs {
+		serial := s
+		serial.Sample = &SamplePlan{Intervals: 4, Shards: 1}
+		want, err := NewRunner().Run(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, shared[i]) {
+			t.Errorf("%s: sharded run on a shared table differs from a serial run:\n  serial:  %+v\n  sharded: %+v",
+				s.Label, want, shared[i])
+		}
+	}
+}

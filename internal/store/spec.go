@@ -14,8 +14,7 @@ import (
 // experiment plus every option that changes the result table, with
 // defaults resolved so "default windows" and "windows spelled out
 // explicitly" hash identically. Knobs that cannot change the result
-// (worker count, timeouts, the decode-cache toggle — reports are
-// identical either way) are deliberately absent.
+// (worker count, timeouts) are deliberately absent.
 //
 // Field order is the canonical JSON order; the hash is SHA-256 over
 // encoding/json's marshal of this struct, which is deterministic

@@ -202,9 +202,9 @@ func TestSpecNormalization(t *testing.T) {
 	}
 
 	// Result-irrelevant knobs must not affect the hash.
-	tuned := NewSpec("fig14", experiments.Options{Workers: 7, NoDecodeCache: true})
+	tuned := NewSpec("fig14", experiments.Options{Workers: 7})
 	if tuned.Hash() != implicit.Hash() {
-		t.Error("workers/decode-cache knobs leaked into the spec hash")
+		t.Error("workers knob leaked into the spec hash")
 	}
 
 	// Different simulation-affecting knobs must change it.
@@ -244,7 +244,7 @@ func TestHistoryTrajectoriesAndRollups(t *testing.T) {
 	_, data2 := fakeReport(t, "fig14", 2.0)
 	_, data3 := fakeReport(t, "fig14", 3.0)
 	for i, d := range [][]byte{data1, data2, data3} {
-		if _, _, err := a.PutReport(d, spec, stamp(i * 30)); err != nil {
+		if _, _, err := a.PutReport(d, spec, stamp(i*30)); err != nil {
 			t.Fatal(err)
 		}
 	}

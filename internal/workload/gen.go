@@ -3,7 +3,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/program"
 )
@@ -28,6 +30,30 @@ type Workload struct {
 	// scan uses it to probe the BTB/SBB only at plausible branch sites,
 	// the software equivalent of the hardware's per-byte parallel probe.
 	branchMask map[uint64]uint64
+
+	// shadowMu guards shadow, the lazily built shadow-decode tables, one
+	// per decode-relevant SBD configuration (see ShadowTable).
+	shadowMu sync.Mutex
+	shadow   map[core.DecodeKey]*core.ShadowTable
+}
+
+// ShadowTable returns the program's shadow-decode table for cfg's
+// decode-relevant fields, building an empty one on first use. Every
+// core simulating this workload under an equivalent decoder shares it,
+// across specs, clones and shards. Safe for concurrent use.
+func (w *Workload) ShadowTable(cfg core.SBDConfig) *core.ShadowTable {
+	key := cfg.DecodeKey()
+	w.shadowMu.Lock()
+	defer w.shadowMu.Unlock()
+	t := w.shadow[key]
+	if t == nil {
+		if w.shadow == nil {
+			w.shadow = make(map[core.DecodeKey]*core.ShadowTable)
+		}
+		t = core.NewShadowTable(cfg, w.Prog.Base, len(w.Prog.Code))
+		w.shadow[key] = t
+	}
+	return t
 }
 
 // BranchMask returns the branch start offsets within the line at
@@ -212,6 +238,8 @@ func (w *Workload) buildInstIndex() error {
 		w.insts = append(w.insts, in)
 		off += int(in.Len)
 	}
+	// Drop append's growth slack: the index lives as long as the workload.
+	w.insts = append(make([]isa.Inst, 0, len(w.insts)), w.insts...)
 	w.branchMask = make(map[uint64]uint64)
 	for i := range w.insts {
 		in := &w.insts[i]
