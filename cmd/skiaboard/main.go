@@ -17,7 +17,7 @@
 // a CI artifact. check diffs, per experiment and per spec hash, the
 // latest archived record against the one before it; any tolerance
 // violation or speedup sign flip exits 1. put stamps files produced
-// elsewhere (skiaexp -out, skiactl report files, BENCH_*.json) into
+// elsewhere (skiaexp -out report files, BENCH_*.json) into
 // the archive, which is how CI injects a synthetic regression to prove
 // the gate trips.
 package main

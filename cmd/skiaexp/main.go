@@ -14,8 +14,8 @@
 // report is emitted as a versioned JSON envelope (schema documented in
 // EXPERIMENTS.md, "Results schema"); with -out DIR the envelopes are
 // written to DIR/<id>.json plus a DIR/manifest.json index, ready for
-// regression diffing with cmd/skiacmp. For a long-running service
-// around the same harnesses, see cmd/skiaserve and API.md.
+// regression diffing with cmd/skiacmp. With -archive DIR each report
+// is also stored in the run-history archive cmd/skiaboard reads.
 //
 // Every failure — experiment errors, report or manifest write errors,
 // profiler shutdown errors — exits nonzero; a partial -out directory

@@ -108,9 +108,9 @@ func TestFig14ShapesHold(t *testing.T) {
 	}
 	// Tail-only decoding must deliver a solid fraction of the benefit on
 	// its own (paper Section 6.1). The strict tail>head ordering is a
-	// full-suite, full-window property (checked by cmd/skiaexp and
-	// recorded in EXPERIMENTS.md); at this test's micro scale the two
-	// are within noise of each other.
+	// full-suite, full-window property that nothing checks yet (see the
+	// executable paper claims item in ROADMAP.md); at this test's micro
+	// scale the two are within noise of each other.
 	if tail <= 0 {
 		t.Errorf("tail-only gain %.2f%% not positive", tail)
 	}

@@ -6,11 +6,11 @@ import (
 	"strings"
 )
 
-// CtxWaitAnalyzer enforces the goroutine/context discipline the service
-// and sampling layers rely on: in `internal/serve` and `internal/sim`,
+// CtxWaitAnalyzer enforces the goroutine/context discipline the
+// simulation runner and its sampling layer rely on: in `internal/sim`,
 // every spawned goroutine must observe cancellation, and every channel
 // send must be cancellable. A goroutine that blocks forever after its
-// context is cancelled leaks a worker per abandoned job; a bare send
+// context is cancelled leaks a worker per abandoned run; a bare send
 // on a bounded queue deadlocks the whole pool when the consumer has
 // already exited.
 //
@@ -23,9 +23,8 @@ import (
 //     the callee owns the discipline), or
 //   - calling a module function that itself observes cancellation,
 //     followed to a fixpoint through the whole-program call graph —
-//     so `go s.worker(sh)` is proven by worker's select, and
-//     `go func() { r.runContext(ctx, ...) }()` by runContext's
-//     chunked ctx checks, across package boundaries.
+//     so `go func() { r.RunContext(ctx, ...) }()` is proven by
+//     RunContext's chunked ctx checks, across package boundaries.
 //
 // A send is cancellable when it is a select case alongside a default
 // or a cancellation receive. Bare sends and goroutines the analyzer
@@ -33,13 +32,13 @@ import (
 // reserved for sends whose receiver provably outlives the sender.
 var CtxWaitAnalyzer = &Analyzer{
 	Name:      "ctxwait",
-	Doc:       "requires goroutines in serve/sim to observe cancellation and channel sends to be cancellable",
+	Doc:       "requires goroutines in sim to observe cancellation and channel sends to be cancellable",
 	Directive: "//skia:ctxwait-ok",
 	Exclude: func(pkgPath string) bool {
 		if strings.Contains(pkgPath, "/testdata/") {
 			return false
 		}
-		return !strings.HasSuffix(pkgPath, "/serve") && !strings.HasSuffix(pkgPath, "/sim")
+		return !strings.HasSuffix(pkgPath, "/sim")
 	},
 	RunProgram: runCtxWait,
 }

@@ -124,3 +124,18 @@ func TestCallGraphResolvesAcrossPackages(t *testing.T) {
 		t.Error("Core.Clone -> FrontEnd.Clone edge not resolved by the call graph")
 	}
 }
+
+// TestCtxWaitScope pins the packages ctxwait analyses: the simulation
+// runner (internal/sim) and the fixtures, nothing else.
+func TestCtxWaitScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"repro/internal/sim":                           true,
+		"repro/internal/lint/testdata/src/ctxwait/bad": true,
+		"repro/internal/experiments":                   false,
+		"repro/cmd/skiaexp":                            false,
+	} {
+		if got := !CtxWaitAnalyzer.Exclude(path); got != want {
+			t.Errorf("ctxwait analyses %s = %v, want %v", path, got, want)
+		}
+	}
+}

@@ -155,61 +155,43 @@ func (t *RingTracer) Events() []Event {
 	return out
 }
 
-// WriteChromeTrace exports the ring's retained events with capture
-// provenance in the trace metadata: total events emitted, events
-// dropped to wraparound, and the ring capacity. A truncated trace is
-// thereby self-identifying — consumers can check events_dropped
-// instead of silently analyzing a partial window.
-func (t *RingTracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTraceMeta(w, t.Events(), map[string]any{
-		"events_total":   t.Total(),
-		"events_dropped": t.Dropped(),
-		"ring_capacity":  cap(t.buf),
-	})
-}
-
 // chromeEvent is one entry of the Chrome trace_event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // ph "M" rows are metadata naming processes/threads, ph "i" rows are
 // instant events. Perfetto and chrome://tracing load this directly.
 type chromeEvent struct {
-	Name  string `json:"name"`
-	Phase string `json:"ph"`
-	TS    uint64 `json:"ts"`
-	// Dur is the duration of ph "X" complete events (span exports);
-	// instant events leave it zero and omitted.
-	Dur   uint64         `json:"dur,omitempty"`
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	TS    uint64         `json:"ts"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the JSON-object form of the trace file. Metadata, when
-// present, records capture provenance (event totals, ring capacity,
-// drop counts) so a truncated trace is self-identifying.
+// chromeTrace is the JSON-object form of the trace file. Metadata
+// records capture provenance (event totals, ring capacity, drop
+// counts) so a truncated trace is self-identifying.
 type chromeTrace struct {
 	TraceEvents     []chromeEvent  `json:"traceEvents"`
 	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	Metadata        map[string]any `json:"metadata,omitempty"`
+	Metadata        map[string]any `json:"metadata"`
 }
 
-// WriteChromeTrace exports events as Chrome trace_event JSON: one
-// thread (track) per front-end component, one instant event per
-// recording, timestamped in simulated cycles (1 cycle = 1 µs of trace
-// time, so Perfetto's zoom and duration readouts count cycles).
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return WriteChromeTraceMeta(w, events, nil)
-}
-
-// WriteChromeTraceMeta is WriteChromeTrace with a metadata block
-// attached to the trace object (nil or empty meta omits it). Chrome
-// and Perfetto ignore unknown metadata, so any provenance fits.
-func WriteChromeTraceMeta(w io.Writer, events []Event, meta map[string]any) error {
-	out := chromeTrace{DisplayTimeUnit: "ms"}
-	if len(meta) > 0 {
-		out.Metadata = meta
-	}
+// WriteChromeTrace exports the ring's retained events as Chrome
+// trace_event JSON: one thread (track) per front-end component, one
+// instant event per recording, timestamped in simulated cycles (1
+// cycle = 1 µs of trace time, so Perfetto's zoom and duration readouts
+// count cycles). The trace metadata carries capture provenance: total
+// events emitted, events dropped to wraparound, and the ring capacity.
+// A truncated trace is thereby self-identifying — consumers can check
+// events_dropped instead of silently analyzing a partial window.
+func (t *RingTracer) WriteChromeTrace(w io.Writer) error {
+	out := chromeTrace{DisplayTimeUnit: "ms", Metadata: map[string]any{
+		"events_total":   t.Total(),
+		"events_dropped": t.Dropped(),
+		"ring_capacity":  cap(t.buf),
+	}}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "process_name", Phase: "M", PID: 1,
 		Args: map[string]any{"name": "skia-frontend"},
@@ -225,7 +207,7 @@ func WriteChromeTraceMeta(w io.Writer, events []Event, meta map[string]any) erro
 				Args: map[string]any{"sort_index": int(tr)},
 			})
 	}
-	for _, e := range events {
+	for _, e := range t.Events() {
 		ce := chromeEvent{
 			Name:  e.Kind.String(),
 			Phase: "i",

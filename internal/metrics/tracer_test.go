@@ -59,9 +59,10 @@ func TestEventKindsNamed(t *testing.T) {
 	}
 }
 
-// TestWriteChromeTrace schema-checks the exported file: a JSON object
-// with a traceEvents array whose entries carry the fields the Chrome
-// trace_event format requires, with metadata rows naming every track.
+// TestWriteChromeTrace schema-checks the file RingTracer exports: a
+// JSON object with a traceEvents array whose entries carry the fields
+// the Chrome trace_event format requires, with metadata rows naming
+// every track.
 func TestWriteChromeTrace(t *testing.T) {
 	events := []Event{
 		{Cycle: 10, Kind: EvDecodeResteer, PC: 0x400100},
@@ -69,8 +70,12 @@ func TestWriteChromeTrace(t *testing.T) {
 		{Cycle: 30, Kind: EvSBBEvictR, Arg: 1},
 		{Cycle: 40, Kind: EvPhantom, PC: 0x400400, Arg: 0x400410},
 	}
+	tr := NewRingTracer(len(events))
+	for _, e := range events {
+		tr.Emit(e)
+	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var top struct {
@@ -161,21 +166,5 @@ func TestRingTracerChromeTraceMetadata(t *testing.T) {
 	}
 	if instants != 4 {
 		t.Errorf("retained instants = %d, want 4 (ring capacity)", instants)
-	}
-}
-
-// TestWriteChromeTraceNoMetadataByDefault pins the plain writer's
-// output shape: no metadata key unless provided.
-func TestWriteChromeTraceNoMetadataByDefault(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, []Event{{Kind: EvBTBMiss}}); err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &top); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := top["metadata"]; ok {
-		t.Error("metadata emitted without being provided")
 	}
 }

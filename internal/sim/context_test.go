@@ -155,14 +155,3 @@ func TestRunAllContextCancelMidFlight(t *testing.T) {
 		}
 	}
 }
-
-// TestRunnerBaseContext: Run (no explicit ctx) honors BaseContext.
-func TestRunnerBaseContext(t *testing.T) {
-	r := NewRunner()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r.BaseContext = ctx
-	if _, err := r.Run(tinySpec()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

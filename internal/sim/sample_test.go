@@ -428,26 +428,6 @@ func TestRunnerSampleDefaultAndOverride(t *testing.T) {
 	}
 }
 
-// TestPlannedInstsSampled: the progress plan for a sampled spec counts
-// warmup plus per-interval detail only (micro-warmup clipped at each
-// interval's start), never the functionally skipped bulk.
-func TestPlannedInstsSampled(t *testing.T) {
-	r := NewRunner()
-	spec := sampleSpec("voter", true)
-	warm, meas := spec.windows()
-	if got := r.plannedInsts(spec); got != warm+meas {
-		t.Errorf("exact planned %d, want %d", got, warm+meas)
-	}
-	plan := SamplePlan{Intervals: 4, IntervalInsts: 10_000, MicroWarmup: 5_000}
-	spec.Sample = &plan
-	// Interval 0 starts at the warmup boundary: its micro-warmup clips
-	// to zero. The rest pay the full micro-warmup.
-	want := warm + 4*10_000 + 3*5_000
-	if got := r.plannedInsts(spec); got != want {
-		t.Errorf("sampled planned %d, want %d", got, want)
-	}
-}
-
 // TestSampledShardsShareShadowTable runs a 2-shard sampled sweep whose
 // two specs (both decoders, head only) share one workload and
 // therefore one shadow-decode table, which their interval cores fill

@@ -560,57 +560,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Sum returns the exact sum of observed samples (0 when empty).
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Bucket is one cumulative bucket of an exported histogram view:
-// Count samples were ≤ UpperBound. The slice form is the
-// Prometheus-style cumulative rendering internal/serve writes to
-// /metrics.
-type Bucket struct {
-	// UpperBound is the bucket's upper bound.
-	UpperBound float64
-	// Count is cumulative: the number of samples at or below
-	// UpperBound (up to the log2 quantization noted on Log2Buckets).
-	Count uint64
-}
-
-// Log2Buckets exports the histogram as cumulative power-of-two
-// buckets, ascending, ending with a bucket whose Count equals Count().
-// Non-positive samples report under an UpperBound-0 bucket; each
-// positive sample v lands in the bucket with UpperBound 2^ceil(log2 v)
-// — samples exactly on a power of two are counted one bucket up, an
-// at-most-one-octave quantization that matches the histogram's
-// internal log-linear storage. Returns nil when empty.
-func (h *Histogram) Log2Buckets() []Bucket {
-	if h.count == 0 {
-		return nil
-	}
-	// Merge the 32 linear sub-buckets of each octave into one bound.
-	byExp := make(map[int]uint64)
-	//skia:detmap-ok commutative += accumulation; exps are sorted before any ordered output
-	for k, n := range h.buckets {
-		exp := k / histSubBuckets
-		if k < 0 && k%histSubBuckets != 0 { // Go truncates toward zero
-			exp--
-		}
-		byExp[exp] += n
-	}
-	exps := make([]int, 0, len(byExp))
-	for e := range byExp {
-		exps = append(exps, e)
-	}
-	sort.Ints(exps)
-	out := make([]Bucket, 0, len(exps)+1)
-	var cum uint64
-	if h.nonPos > 0 {
-		cum = h.nonPos
-		out = append(out, Bucket{UpperBound: 0, Count: cum})
-	}
-	for _, e := range exps {
-		cum += byExp[e]
-		out = append(out, Bucket{UpperBound: math.Ldexp(1, e), Count: cum})
-	}
-	return out
-}
-
 // Mean returns the exact arithmetic mean of observed samples.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {

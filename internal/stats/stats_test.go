@@ -351,8 +351,8 @@ func TestHistogramMergeEqualsDirectObservation(t *testing.T) {
 					parts, q, got, want)
 			}
 		}
-		if !reflect.DeepEqual(merged.Log2Buckets(), direct.Log2Buckets()) {
-			t.Fatalf("parts=%d: bucket views differ", parts)
+		if !reflect.DeepEqual(merged.buckets, direct.buckets) || merged.nonPos != direct.nonPos {
+			t.Fatalf("parts=%d: bucket counts differ", parts)
 		}
 	}
 }
@@ -485,62 +485,5 @@ func TestEmptyTableJSON(t *testing.T) {
 	}
 	if back.NumRows() != 0 || len(back.Columns()) != 2 {
 		t.Errorf("empty table mangled: %+v", back)
-	}
-}
-
-// TestHistogramLog2Buckets pins the cumulative power-of-two export the
-// service /metrics endpoint renders: bounds ascend, counts are
-// cumulative and end at Count(), every sample sits at or below its
-// bucket's bound (up to the documented one-octave quantization for
-// samples exactly on a power of two), and non-positive samples occupy
-// a leading bound-0 bucket.
-func TestHistogramLog2Buckets(t *testing.T) {
-	var h Histogram
-	if h.Log2Buckets() != nil {
-		t.Error("empty histogram should export nil buckets")
-	}
-	samples := []float64{0.3, 0.7, 1.5, 1.5, 3, 6, 6.5, 100, -2, 0}
-	var sum float64
-	for _, v := range samples {
-		h.Observe(v)
-		sum += v
-	}
-	if got := h.Sum(); !almostEqual(got, sum) {
-		t.Errorf("Sum = %v, want %v", got, sum)
-	}
-	bk := h.Log2Buckets()
-	if len(bk) == 0 {
-		t.Fatal("no buckets")
-	}
-	if bk[0].UpperBound != 0 || bk[0].Count != 2 {
-		t.Errorf("non-positive bucket = %+v, want bound 0 count 2", bk[0])
-	}
-	for i := 1; i < len(bk); i++ {
-		if bk[i].UpperBound <= bk[i-1].UpperBound {
-			t.Errorf("bounds not ascending: %v after %v", bk[i].UpperBound, bk[i-1].UpperBound)
-		}
-		if bk[i].Count < bk[i-1].Count {
-			t.Errorf("counts not cumulative: %d after %d", bk[i].Count, bk[i-1].Count)
-		}
-		if frac, _ := math.Frexp(bk[i].UpperBound); frac != 0.5 {
-			t.Errorf("bound %v is not a power of two", bk[i].UpperBound)
-		}
-	}
-	last := bk[len(bk)-1]
-	if last.Count != uint64(h.Count()) {
-		t.Errorf("final cumulative count %d != Count() %d", last.Count, h.Count())
-	}
-	// Cross-check each cumulative count against the raw samples, with
-	// the documented power-of-two edge counting one bucket up.
-	for _, b := range bk {
-		var want uint64
-		for _, v := range samples {
-			if v < b.UpperBound || v <= 0 && b.UpperBound >= 0 {
-				want++
-			}
-		}
-		if b.Count != want {
-			t.Errorf("bucket le=%v count=%d, want %d", b.UpperBound, b.Count, want)
-		}
 	}
 }

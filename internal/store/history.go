@@ -49,8 +49,9 @@ type MetricRollup struct {
 	Last  float64 `json:"last"`
 }
 
-// History is the GET /v1/history/{experiment} payload: every archived
-// point in trajectory order plus per-metric roll-ups.
+// History is one experiment's archived trajectory, the payload
+// skiaboard renders: every archived point in trajectory order plus
+// per-metric roll-ups.
 type History struct {
 	Experiment string         `json:"experiment"`
 	Points     []HistoryPoint `json:"points"`

@@ -47,7 +47,7 @@ type Spec struct {
 	SampleWarmWindowInstructions  uint64 `json:"sample_warm_window_instructions,omitempty"`
 	// SampleEcho records whether an exact run published reference
 	// sampling rows; like Attrib it changes the report's content (the
-	// `sampling` section), so cached reports must not cross it.
+	// `sampling` section), so the two must not share a trajectory.
 	SampleEcho bool `json:"sample_echo,omitempty"`
 }
 
@@ -97,7 +97,7 @@ func NewSpec(experiment string, o experiments.Options) Spec {
 // off. The
 // recovered spec hashes identically to the NewSpec the producer would
 // have built, so `skiaboard put` imports join the same trajectory as
-// live skiaserve archives.
+// `skiaexp -archive` runs.
 func SpecOfReport(rep *experiments.Report) Spec {
 	s := Spec{
 		Experiment:           rep.ID,
@@ -140,8 +140,7 @@ func SpecOfReport(rep *experiments.Report) Spec {
 }
 
 // Hash is the spec's canonical-JSON SHA-256, hex-encoded: the key the
-// archive, the serve-layer result cache, and skiaboard's trajectory
-// grouping all share.
+// archive and skiaboard's trajectory grouping share.
 func (s Spec) Hash() string {
 	data, err := json.Marshal(s)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package store is the run-history archive: a content-addressed,
 // append-only record store for completed experiment reports (batch
-// skiaexp runs, skiaserve jobs) and skiabench performance envelopes.
+// skiaexp runs) and skiabench performance envelopes.
 //
 // Every record is keyed three ways:
 //
@@ -23,12 +23,9 @@
 // deterministic because dedup collapses reruns and distinct records
 // differ in ID.
 //
-// Consumers: internal/serve persists every finished job here
-// (skiaserve -archive) and serves byte-identical archived reports on
-// spec-hash match without re-simulating (-cache); cmd/skiaboard
-// renders metric trajectories from History and gates regressions with
-// the internal/compare tolerances; cmd/skiaexp and cmd/skiabench
-// archive batch results with their -archive flags.
+// Consumers: cmd/skiaexp and cmd/skiabench archive batch results with
+// their -archive flags; cmd/skiaboard renders metric trajectories from
+// History and gates regressions with the internal/compare tolerances.
 //
 // The package itself never reads the wall clock (skialint's nondet
 // discipline): callers stamp PutMeta.RecordedAt, so record identity
@@ -67,7 +64,7 @@ const (
 
 // Record is one archived result: identity plus the exact payload bytes
 // the producer wrote (compacted to one canonical line). Payload bytes
-// are immutable — a cache hit serves them back verbatim.
+// are immutable — Load returns them verbatim.
 type Record struct {
 	SchemaVersion int    `json:"schema_version"`
 	ID            string `json:"id"`
@@ -84,8 +81,8 @@ type Record struct {
 	GitDescribe string `json:"git_describe,omitempty"`
 	// RecordedAt is the caller-stamped RFC 3339 completion time.
 	RecordedAt string `json:"recorded_at"`
-	// Source names the producer: "skiaexp", "skiaserve", "skiabench",
-	// "skiaboard" (put imports).
+	// Source names the producer: "skiaexp", "skiabench", "skiaboard"
+	// (put imports).
 	Source string `json:"source,omitempty"`
 	// Spec is the normalized spec the hash covers (report records).
 	Spec *Spec `json:"spec,omitempty"`
@@ -337,27 +334,6 @@ func (a *Archive) Load(id string) (Record, error) {
 		return Record{}, fmt.Errorf("store: %s holds record %s, index says %s", entry.File, rec.ID, id)
 	}
 	return rec, nil
-}
-
-// Latest returns the newest report record (trajectory order) whose
-// spec hash matches, payload included — the cache-hit lookup
-// internal/serve uses. ok is false when the spec was never archived.
-func (a *Archive) Latest(specHash string) (Record, bool, error) {
-	var best *IndexEntry
-	for _, e := range a.Entries() { // ascending: last match wins
-		if e.Kind == KindReport && e.SpecHash == specHash {
-			e := e
-			best = &e
-		}
-	}
-	if best == nil {
-		return Record{}, false, nil
-	}
-	rec, err := a.Load(best.ID)
-	if err != nil {
-		return Record{}, false, err
-	}
-	return rec, true, nil
 }
 
 // canonicalPayload validates and compacts payload to one line of

@@ -98,7 +98,7 @@ func TestPutDedupsIdenticalResults(t *testing.T) {
 	}
 }
 
-func TestLatestServesNewestPayloadByteIdentical(t *testing.T) {
+func TestLoadNewestPayloadByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir)
 	if err != nil {
@@ -122,13 +122,18 @@ func TestLatestServesNewestPayloadByteIdentical(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("reopened archive has %d records, want 2", b.Len())
 	}
-	rec, ok, err := b.Latest(spec.Hash())
-	if err != nil || !ok {
-		t.Fatalf("Latest: ok=%v err=%v", ok, err)
+	entries := b.Entries()
+	newest := entries[len(entries)-1]
+	if newest.SpecHash != spec.Hash() {
+		t.Fatalf("newest entry spec hash %s, want %s", newest.SpecHash, spec.Hash())
 	}
-	// The cache contract: the archived payload re-marshals to the
-	// exact bytes the producer wrote (records store the compact form;
-	// decode → indent restores the original).
+	rec, err := b.Load(newest.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The archived payload re-marshals to the exact bytes the producer
+	// wrote (records store the compact form; decode → indent restores
+	// the original).
 	got, err := experiments.DecodeReport(rec.Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -138,11 +143,11 @@ func TestLatestServesNewestPayloadByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, data2) {
-		t.Error("cache round-trip is not byte-identical to the newest archived report")
+		t.Error("archive round-trip is not byte-identical to the newest archived report")
 	}
 
-	if _, ok, err := b.Latest("no-such-spec"); err != nil || ok {
-		t.Errorf("Latest(miss): ok=%v err=%v, want miss", ok, err)
+	if _, err := b.Load("no-such-record"); err == nil {
+		t.Error("Load(unknown id) succeeded")
 	}
 }
 
@@ -349,8 +354,8 @@ func TestBenchHistory(t *testing.T) {
 // equivalent plan spellings normalize to one hash, and the result-
 // changing plan parameters — interval count, interval length, micro-
 // warmup — each fork the trajectory. Exact and sampled runs of the
-// same windows never share a hash, so the result cache cannot serve
-// one for the other.
+// same windows never share a hash, so their records never join one
+// trajectory.
 func TestSpecSamplingNormalization(t *testing.T) {
 	exact := NewSpec("fig14", experiments.Options{})
 
