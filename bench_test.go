@@ -238,11 +238,11 @@ func benchCycle(b *testing.B, mk func() *cpu.Core) {
 	b.ReportMetric(float64(c.Retired())/float64(b.Elapsed().Seconds())/1e6, "Minsts/s")
 }
 
-// BenchmarkFrontEndCycle is the headline hot-loop benchmark the perf
-// trajectory (BENCH_*.json) tracks: the full Skia front-end cycle —
-// IAG, FTQ, L1-I, shadow decode (table lookups), decode verification — with
-// no observability attached. cmd/skiabench records its ns/op, B/op,
-// allocs/op, and Minsts/s every run.
+// BenchmarkFrontEndCycle is the headline hot-loop benchmark: the full
+// Skia front-end cycle — IAG, FTQ, L1-I, shadow decode (table lookups),
+// decode verification — with no observability attached.
+// TestFrontEndCycleAllocBudget holds its allocs/op to the noalloc
+// budget.
 func BenchmarkFrontEndCycle(b *testing.B) {
 	benchCycle(b, func() *cpu.Core { return cycleCore(b, cpu.SkiaConfig()) })
 }
@@ -323,8 +323,8 @@ func BenchmarkFrontEndCycle_WithAttribution(b *testing.B) {
 // check proves no compiler-reported escape sits inside an annotated
 // function, and this ratchet proves the composed steady-state loop
 // (1000 cycles per op) stays within one allocation per op — the
-// occasional map-growth rehash, nothing per-cycle. skiabench enforces
-// the same absolute budget on the frontend-cycle registry entry.
+// occasional map-growth rehash, nothing per-cycle — on both the Skia
+// (cpu.SkiaConfig) and the baseline (cpu.DefaultConfig) front-end.
 func TestFrontEndCycleAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
@@ -332,8 +332,18 @@ func TestFrontEndCycleAllocBudget(t *testing.T) {
 	if invariantsArmed {
 		t.Skip("skiainvariants assertions are noinline and cost a few allocs; the budget pins the default build")
 	}
-	r := testing.Benchmark(BenchmarkFrontEndCycle)
-	if a := r.AllocsPerOp(); a > 1 {
-		t.Fatalf("front-end cycle path allocates %d allocs/op (budget 1): a per-cycle allocation crept past the //skia:noalloc annotations", a)
+	for _, tc := range []struct {
+		name  string
+		bench func(*testing.B)
+	}{
+		{"skia", BenchmarkFrontEndCycle},
+		{"baseline", BenchmarkFrontEndCycle_Baseline},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testing.Benchmark(tc.bench)
+			if a := r.AllocsPerOp(); a > 1 {
+				t.Fatalf("%s front-end cycle path allocates %d allocs/op (budget 1): a per-cycle allocation crept past the //skia:noalloc annotations", tc.name, a)
+			}
+		})
 	}
 }

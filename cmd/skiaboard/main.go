@@ -1,25 +1,23 @@
 // Command skiaboard is the regression observatory over the run-history
 // archive (internal/store): it renders a static HTML dashboard of
-// metric trajectories, attribution share stacks, and the skiabench
-// performance trajectory, checks the newest run of every trajectory
-// against its predecessor under the internal/compare tolerance bands
-// (sign-flip gate included) with exit-code gating for CI, and imports
-// report or bench envelope files into the archive.
+// metric trajectories and attribution share stacks, checks the newest
+// run of every trajectory against its predecessor under the
+// internal/compare tolerance bands (sign-flip gate included) with
+// exit-code gating for CI, and imports report files into the archive.
 //
 // Usage:
 //
 //	skiaboard render -archive DIR -out dashboard.html
 //	skiaboard check  -archive DIR [-rtol 0.05] [-atol 1e-6] ...
-//	skiaboard put    -archive DIR [-bench] FILE...
+//	skiaboard put    -archive DIR FILE...
 //
 // render and the dashboard are stdlib-only (html/template plus inline
 // SVG sparklines) — the output is one self-contained file suitable for
 // a CI artifact. check diffs, per experiment and per spec hash, the
 // latest archived record against the one before it; any tolerance
-// violation or speedup sign flip exits 1. put stamps files produced
-// elsewhere (skiaexp -out report files, BENCH_*.json) into
-// the archive, which is how CI injects a synthetic regression to prove
-// the gate trips.
+// violation or speedup sign flip exits 1. put stamps report files
+// produced elsewhere (skiaexp -out) into the archive, which is how CI
+// injects a synthetic regression to prove the gate trips.
 package main
 
 import (
@@ -69,7 +67,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   skiaboard render -archive DIR [-out FILE] [-title T]   render the HTML dashboard
   skiaboard check  -archive DIR [tolerance flags]        gate the newest run of every trajectory (exit 1 on regression)
-  skiaboard put    -archive DIR [-bench] FILE...         import report or bench envelope files
+  skiaboard put    -archive DIR FILE...                  import report files
 `)
 }
 
@@ -164,14 +162,12 @@ func cmdCheck(args []string) error {
 	return nil
 }
 
-// cmdPut imports envelope files into the archive: experiment reports
-// by default (spec recovered from the envelope via store.SpecOfReport),
-// BENCH_*.json envelopes with -bench.
+// cmdPut imports experiment report files into the archive, recovering
+// each one's spec from the envelope via store.SpecOfReport.
 func cmdPut(args []string) error {
 	fs := flag.NewFlagSet("skiaboard put", flag.ExitOnError)
 	var (
 		dir      = fs.String("archive", "", "run-history archive directory")
-		bench    = fs.Bool("bench", false, "files are skiabench BENCH_*.json envelopes, not reports")
 		source   = fs.String("source", "skiaboard", "source label stamped on the records")
 		describe = fs.String("git-describe", "", "tree version to stamp (default: the envelope's own, else git describe)")
 	)
@@ -188,24 +184,18 @@ func cmdPut(args []string) error {
 		if err != nil {
 			return err
 		}
-		m := store.PutMeta{RecordedAt: time.Now(), GitDescribe: *describe, Source: *source}
-		var entry store.IndexEntry
-		var added bool
-		if *bench {
-			entry, added, err = a.PutBench(data, m)
-		} else {
-			rep, derr := experiments.DecodeReport(data)
-			if derr != nil {
-				return fmt.Errorf("%s: %w", path, derr)
-			}
-			if m.GitDescribe == "" {
-				m.GitDescribe = rep.Meta.GitDescribe
-			}
-			if m.GitDescribe == "" {
-				m.GitDescribe = gitDescribe()
-			}
-			entry, added, err = a.PutReport(data, store.SpecOfReport(rep), m)
+		rep, err := experiments.DecodeReport(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
+		m := store.PutMeta{RecordedAt: time.Now(), GitDescribe: *describe, Source: *source}
+		if m.GitDescribe == "" {
+			m.GitDescribe = rep.Meta.GitDescribe
+		}
+		if m.GitDescribe == "" {
+			m.GitDescribe = gitDescribe()
+		}
+		entry, added, err := a.PutReport(data, store.SpecOfReport(rep), m)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

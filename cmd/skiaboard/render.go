@@ -6,7 +6,6 @@ import (
 	"html/template"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 
 // cmdRender writes the dashboard: one self-contained HTML file with a
 // metric-trajectory section per experiment (roll-up table plus inline
-// SVG sparklines), attribution share stacks from each experiment's
-// latest attributed record, and the skiabench performance trajectory.
+// SVG sparklines) and attribution share stacks from each experiment's
+// latest attributed record.
 func cmdRender(args []string) error {
 	fs := flag.NewFlagSet("skiaboard render", flag.ExitOnError)
 	var (
@@ -57,8 +56,6 @@ type dashboard struct {
 	ArchiveDir  string
 	Records     int
 	Experiments []expSection
-	Bench       []benchRow
-	BenchRuns   int
 }
 
 type expSection struct {
@@ -95,13 +92,6 @@ type stackSegment struct {
 	Color string
 }
 
-type benchRow struct {
-	Name   string
-	NsLast string
-	Delta  string
-	Spark  template.HTML
-}
-
 func buildDashboard(a *store.Archive, title string) (*dashboard, error) {
 	d := &dashboard{
 		Title:       title,
@@ -116,12 +106,6 @@ func buildDashboard(a *store.Archive, title string) (*dashboard, error) {
 		}
 		d.Experiments = append(d.Experiments, sec)
 	}
-	bench, err := a.BenchHistory()
-	if err != nil {
-		return nil, err
-	}
-	d.BenchRuns = len(bench)
-	d.Bench = buildBenchRows(bench)
 	return d, nil
 }
 
@@ -208,33 +192,6 @@ func buildAttribStacks(a *store.Archive, exp string) ([]attribStack, error) {
 		stacks = append(stacks, st)
 	}
 	return stacks, nil
-}
-
-func buildBenchRows(points []store.BenchPoint) []benchRow {
-	// name -> ns/op series in trajectory order.
-	values := make(map[string][]float64)
-	var names []string
-	for _, p := range points {
-		for _, e := range p.Envelope.Entries {
-			if _, seen := values[e.Name]; !seen {
-				names = append(names, e.Name)
-			}
-			values[e.Name] = append(values[e.Name], e.NsPerOp)
-		}
-	}
-	sort.Strings(names)
-	var rows []benchRow
-	for _, n := range names {
-		vs := values[n]
-		row := benchRow{
-			Name:   n,
-			NsLast: fmtVal(vs[len(vs)-1]),
-			Spark:  sparkline(vs, 160, 36),
-		}
-		row.Delta, _ = fmtDelta(vs[0], vs[len(vs)-1])
-		rows = append(rows, row)
-	}
-	return rows
 }
 
 // palette colors the attribution stack segments (cause order is the
@@ -360,18 +317,6 @@ th { color: #555; font-weight: 600; }
 <p>No experiment records archived yet.</p>
 {{end}}
 
-<h2>Benchmark trajectory (skiabench)</h2>
-{{if .Bench}}
-<p class="meta">{{.BenchRuns}} archived envelopes</p>
-<table>
-<tr><th>benchmark</th><th>ns/op (latest)</th><th>Δ since first</th><th>trajectory</th></tr>
-{{range .Bench}}
-<tr><td>{{.Name}}</td><td>{{.NsLast}}</td><td>{{.Delta}}</td><td>{{.Spark}}</td></tr>
-{{end}}
-</table>
-{{else}}
-<p>No bench envelopes archived yet (skiabench -archive, or skiaboard put -bench BENCH_*.json).</p>
-{{end}}
 </body>
 </html>
 `))

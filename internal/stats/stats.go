@@ -476,37 +476,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[bucketKey(v)]++
 }
 
-// Merge folds every sample recorded in other into h, leaving other
-// unchanged. The merge is exact with respect to the histogram's own
-// storage: bucket counts, the non-positive lane, count, sum, and the
-// min/max extremes all add, so quantiles of the merged histogram equal
-// quantiles of a histogram that observed both sample streams directly
-// (merge-then-quantile == quantile-of-merged). internal/store relies
-// on this to roll per-spec history series up into per-experiment
-// distributions without re-observing raw samples.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.count == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-	h.nonPos += other.nonPos
-	h.nonPosSum += other.nonPosSum
-	if len(other.buckets) > 0 && h.buckets == nil {
-		h.buckets = make(map[int]uint64, len(other.buckets))
-	}
-	//skia:detmap-ok commutative += accumulation; no ordered output
-	for k, n := range other.buckets {
-		h.buckets[k] += n
-	}
-}
-
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return int(h.count) }
 

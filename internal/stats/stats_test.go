@@ -289,102 +289,6 @@ func TestHistogramNonPositive(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEqualsDirectObservation is the merge property the
-// run-history roll-ups (internal/store) rely on: splitting a sample
-// stream across K histograms and merging them is indistinguishable —
-// exactly, not within tolerance — from observing the whole stream into
-// one histogram. Checked across split counts, orderings, and a stream
-// mixing six orders of magnitude with non-positive samples.
-func TestHistogramMergeEqualsDirectObservation(t *testing.T) {
-	// Deterministic mixed stream: log-spread positives plus a sprinkle
-	// of zeros and negatives (the shared non-positive lane).
-	var samples []float64
-	x := uint64(98765)
-	for i := 0; i < 20_000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407 // LCG
-		v := math.Exp(float64(x%1_000_000)/1_000_000*13.8) * 0.01
-		if x%17 == 0 {
-			v = -v * 0.001
-		} else if x%19 == 0 {
-			v = 0
-		}
-		samples = append(samples, v)
-	}
-	var direct Histogram
-	for _, v := range samples {
-		direct.Observe(v)
-	}
-	quantiles := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
-	for _, parts := range []int{1, 2, 3, 7, 16} {
-		shards := make([]Histogram, parts)
-		for i, v := range samples {
-			shards[i%parts].Observe(v)
-		}
-		var merged Histogram
-		// Merge back-to-front so the test also covers "merge into an
-		// already-populated histogram" for every shard but the last.
-		for i := parts - 1; i >= 0; i-- {
-			merged.Merge(&shards[i])
-		}
-		if merged.Count() != direct.Count() {
-			t.Fatalf("parts=%d: count %d != %d", parts, merged.Count(), direct.Count())
-		}
-		if merged.Sum() != direct.Sum() {
-			// Shard sums add in a different order; allow only float
-			// reassociation noise, nothing structural.
-			if math.Abs(merged.Sum()-direct.Sum()) > 1e-9*math.Abs(direct.Sum()) {
-				t.Fatalf("parts=%d: sum %v != %v", parts, merged.Sum(), direct.Sum())
-			}
-		}
-		if merged.Min() != direct.Min() || merged.Max() != direct.Max() {
-			t.Fatalf("parts=%d: min/max %v/%v != %v/%v", parts,
-				merged.Min(), merged.Max(), direct.Min(), direct.Max())
-		}
-		for _, q := range quantiles {
-			got, want := merged.Quantile(q), direct.Quantile(q)
-			// Positive quantiles are bit-exact (bucket counts add).
-			// Quantiles landing in the shared non-positive lane report
-			// that lane's mean, whose sum reassociates across shards —
-			// permit only float rounding there, nothing structural.
-			if got != want && math.Abs(got-want) > 1e-12*math.Abs(want) {
-				t.Fatalf("parts=%d q=%v: merge-then-quantile %v != quantile-of-merged %v",
-					parts, q, got, want)
-			}
-		}
-		if !reflect.DeepEqual(merged.buckets, direct.buckets) || merged.nonPos != direct.nonPos {
-			t.Fatalf("parts=%d: bucket counts differ", parts)
-		}
-	}
-}
-
-// TestHistogramMergeEdgeCases pins merge behavior at the boundaries:
-// empty and nil operands are no-ops, and merging into an empty
-// histogram copies counts without disturbing the source.
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	var a, b Histogram
-	a.Observe(3)
-	a.Merge(&b) // empty source: no-op
-	a.Merge(nil)
-	if a.Count() != 1 || a.Min() != 3 || a.Max() != 3 {
-		t.Errorf("merge of empty/nil disturbed the target: %+v", a)
-	}
-	b.Merge(&a) // into empty target
-	if b.Count() != 1 || b.Quantile(0.5) != 3 {
-		t.Errorf("merge into empty target: count=%d median=%v", b.Count(), b.Quantile(0.5))
-	}
-	if a.Count() != 1 {
-		t.Error("merge mutated its source")
-	}
-	// Self-merge via an independent copy (Merge into a fresh histogram
-	// deep-copies the buckets) doubles every count.
-	var c Histogram
-	c.Merge(&a)
-	a.Merge(&c)
-	if a.Count() != 2 || a.Quantile(1) != 3 {
-		t.Errorf("merge of copied self: count=%d max=%v", a.Count(), a.Quantile(1))
-	}
-}
-
 func TestHistogramQuantileMonotonic(t *testing.T) {
 	var h Histogram
 	for _, v := range []float64{5, 1, 9, 3, 7, 2} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/benchfmt"
 	"repro/internal/compare"
 	"repro/internal/experiments"
 	"repro/internal/stats"
@@ -31,10 +30,8 @@ type HistoryPoint struct {
 }
 
 // MetricRollup aggregates one metric across an experiment's whole
-// archived trajectory. The distribution statistics come from
-// per-spec-hash histograms folded together with stats.Histogram.Merge,
-// so a spec simulated a hundred times and a spec simulated once both
-// contribute exactly their samples.
+// archived trajectory: every archived value of the metric, whatever
+// its spec hash, is one sample of the distribution.
 type MetricRollup struct {
 	Name  string  `json:"name"`
 	Unit  string  `json:"unit,omitempty"`
@@ -88,19 +85,16 @@ func ReportMetrics(rep *experiments.Report) []Metric {
 
 // History assembles the experiment's archived trajectory: points in
 // (recorded_at, id) order with their table metrics, and per-metric
-// roll-ups built by observing each spec-hash series into its own
-// histogram and merging the series histograms.
+// roll-ups, name-sorted, each observed into one histogram.
 func (a *Archive) History(experiment string) (*History, error) {
 	hist := &History{Experiment: experiment, Points: []HistoryPoint{}}
-	type seriesKey struct{ spec, name string }
-	seriesHists := make(map[seriesKey]*stats.Histogram)
-	var seriesOrder []seriesKey
-	type span struct {
+	type rollup struct {
+		h           stats.Histogram
 		unit        string
 		first, last float64
-		haveFirst   bool
 	}
-	spans := make(map[string]*span)
+	rollups := make(map[string]*rollup)
+	var names []string
 	for _, e := range a.Entries() {
 		if e.Kind != KindReport || e.Experiment != experiment {
 			continue
@@ -124,57 +118,29 @@ func (a *Archive) History(experiment string) (*History, error) {
 			Metrics:     ms,
 		})
 		for _, m := range ms {
-			k := seriesKey{e.SpecHash, m.Name}
-			h, ok := seriesHists[k]
+			r, ok := rollups[m.Name]
 			if !ok {
-				h = &stats.Histogram{}
-				seriesHists[k] = h
-				seriesOrder = append(seriesOrder, k)
+				r = &rollup{unit: m.Unit, first: m.Value}
+				rollups[m.Name] = r
+				names = append(names, m.Name)
 			}
-			h.Observe(m.Value)
-			sp, ok := spans[m.Name]
-			if !ok {
-				sp = &span{unit: m.Unit}
-				spans[m.Name] = sp
-			}
-			if !sp.haveFirst {
-				sp.first, sp.haveFirst = m.Value, true
-			}
-			sp.last = m.Value
+			r.h.Observe(m.Value)
+			r.last = m.Value
 		}
 	}
-	// Merge each metric's per-series histograms in deterministic
-	// (name, spec) order.
-	sort.Slice(seriesOrder, func(i, j int) bool {
-		if seriesOrder[i].name != seriesOrder[j].name {
-			return seriesOrder[i].name < seriesOrder[j].name
-		}
-		return seriesOrder[i].spec < seriesOrder[j].spec
-	})
-	merged := make(map[string]*stats.Histogram)
-	var names []string
-	for _, k := range seriesOrder {
-		m, ok := merged[k.name]
-		if !ok {
-			m = &stats.Histogram{}
-			merged[k.name] = m
-			names = append(names, k.name)
-		}
-		m.Merge(seriesHists[k])
-	}
-	for _, name := range names { // already name-sorted via seriesOrder
-		h := merged[name]
-		sp := spans[name]
+	sort.Strings(names)
+	for _, name := range names {
+		r := rollups[name]
 		hist.Rollups = append(hist.Rollups, MetricRollup{
 			Name:  name,
-			Unit:  sp.unit,
-			Count: h.Count(),
-			Mean:  h.Mean(),
-			Min:   h.Min(),
-			Max:   h.Max(),
-			P50:   h.Quantile(0.5),
-			First: sp.first,
-			Last:  sp.last,
+			Unit:  r.unit,
+			Count: r.h.Count(),
+			Mean:  r.h.Mean(),
+			Min:   r.h.Min(),
+			Max:   r.h.Max(),
+			P50:   r.h.Quantile(0.5),
+			First: r.first,
+			Last:  r.last,
 		})
 	}
 	return hist, nil
@@ -214,43 +180,6 @@ func (a *Archive) Series(experiment string) ([]Series, error) {
 	out := make([]Series, 0, len(order))
 	for _, h := range order {
 		out = append(out, *byHash[h])
-	}
-	return out, nil
-}
-
-// BenchPoint is one archived skiabench envelope on the performance
-// trajectory.
-type BenchPoint struct {
-	RecordID    string            `json:"record_id"`
-	RecordedAt  string            `json:"recorded_at"`
-	GitDescribe string            `json:"git_describe,omitempty"`
-	Source      string            `json:"source,omitempty"`
-	Envelope    benchfmt.Envelope `json:"envelope"`
-}
-
-// BenchHistory returns every archived bench envelope in trajectory
-// order.
-func (a *Archive) BenchHistory() ([]BenchPoint, error) {
-	var out []BenchPoint
-	for _, e := range a.Entries() {
-		if e.Kind != KindBench {
-			continue
-		}
-		rec, err := a.Load(e.ID)
-		if err != nil {
-			return nil, err
-		}
-		env, err := benchfmt.Decode(rec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("store: record %s: %w", e.ID, err)
-		}
-		out = append(out, BenchPoint{
-			RecordID:    e.ID,
-			RecordedAt:  e.RecordedAt,
-			GitDescribe: e.GitDescribe,
-			Source:      e.Source,
-			Envelope:    *env,
-		})
 	}
 	return out, nil
 }

@@ -1,6 +1,5 @@
 // Package store is the run-history archive: a content-addressed,
-// append-only record store for completed experiment reports (batch
-// skiaexp runs) and skiabench performance envelopes.
+// append-only record store for completed experiment reports.
 //
 // Every record is keyed three ways:
 //
@@ -23,9 +22,12 @@
 // deterministic because dedup collapses reruns and distinct records
 // differ in ID.
 //
-// Consumers: cmd/skiaexp and cmd/skiabench archive batch results with
-// their -archive flags; cmd/skiaboard renders metric trajectories from
-// History and gates regressions with the internal/compare tolerances.
+// Consumers: cmd/skiaexp archives batch results with its -archive
+// flag; cmd/skiaboard imports report files, renders metric
+// trajectories from History and gates regressions with the
+// internal/compare tolerances. Readers select KindReport records, so
+// an archive holding records of a kind this build does not write still
+// opens.
 //
 // The package itself never reads the wall clock (skialint's nondet
 // discipline): callers stamp PutMeta.RecordedAt, so record identity
@@ -47,14 +49,9 @@ import (
 // SchemaVersion identifies the record and index-line format.
 const SchemaVersion = 1
 
-// Record kinds.
-const (
-	// KindReport is an experiments.Report envelope payload.
-	KindReport = "report"
-	// KindBench is a cmd/skiabench BENCH_*.json envelope payload
-	// (internal/benchfmt.Envelope).
-	KindBench = "bench"
-)
+// KindReport is the kind of every record this build writes: an
+// experiments.Report envelope payload.
+const KindReport = "report"
 
 // indexFile and recordsDir lay out the archive directory.
 const (
@@ -69,10 +66,10 @@ type Record struct {
 	SchemaVersion int    `json:"schema_version"`
 	ID            string `json:"id"`
 	Kind          string `json:"kind"`
-	// Experiment is the catalog ID for report records ("" for bench).
+	// Experiment is the catalog ID.
 	Experiment string `json:"experiment,omitempty"`
 	// SpecHash groups records of the same normalized spec into one
-	// trajectory ("" for bench records, which have no spec).
+	// trajectory.
 	SpecHash string `json:"spec_hash,omitempty"`
 	// ContentHash fingerprints the payload with volatile provenance
 	// stripped; identical deterministic results share it.
@@ -81,10 +78,10 @@ type Record struct {
 	GitDescribe string `json:"git_describe,omitempty"`
 	// RecordedAt is the caller-stamped RFC 3339 completion time.
 	RecordedAt string `json:"recorded_at"`
-	// Source names the producer: "skiaexp", "skiabench", "skiaboard"
-	// (put imports).
+	// Source names the producer: "skiaexp", or "skiaboard" for put
+	// imports.
 	Source string `json:"source,omitempty"`
-	// Spec is the normalized spec the hash covers (report records).
+	// Spec is the normalized spec the hash covers.
 	Spec *Spec `json:"spec,omitempty"`
 	// Payload is the archived envelope, verbatim.
 	Payload json.RawMessage `json:"payload"`
@@ -224,18 +221,6 @@ func (a *Archive) PutReport(payload []byte, spec Spec, m PutMeta) (IndexEntry, b
 	if spec.Experiment == "" {
 		return IndexEntry{}, false, fmt.Errorf("store: report spec has no experiment")
 	}
-	return a.put(KindReport, spec.Experiment, spec.Hash(), &spec, payload, m)
-}
-
-// PutBench archives one cmd/skiabench envelope. Bench payloads carry
-// no spec (their identity is the machine and tree); their content is
-// the measured timings, so reruns archive as distinct records and the
-// trajectory shows every measurement.
-func (a *Archive) PutBench(payload []byte, m PutMeta) (IndexEntry, bool, error) {
-	return a.put(KindBench, "", "", nil, payload, m)
-}
-
-func (a *Archive) put(kind, experiment, specHash string, spec *Spec, payload []byte, m PutMeta) (IndexEntry, bool, error) {
 	if m.RecordedAt.IsZero() {
 		return IndexEntry{}, false, fmt.Errorf("store: PutMeta.RecordedAt is required (the store never reads the clock)")
 	}
@@ -243,11 +228,12 @@ func (a *Archive) put(kind, experiment, specHash string, spec *Spec, payload []b
 	if err != nil {
 		return IndexEntry{}, false, fmt.Errorf("store: payload: %w", err)
 	}
-	contentHash, err := contentHash(kind, payload)
+	contentHash, err := contentHash(payload)
 	if err != nil {
 		return IndexEntry{}, false, err
 	}
-	id := recordID(kind, specHash, m.GitDescribe, contentHash)
+	specHash := spec.Hash()
+	id := recordID(KindReport, specHash, m.GitDescribe, contentHash)
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -257,14 +243,14 @@ func (a *Archive) put(kind, experiment, specHash string, spec *Spec, payload []b
 	rec := Record{
 		SchemaVersion: SchemaVersion,
 		ID:            id,
-		Kind:          kind,
-		Experiment:    experiment,
+		Kind:          KindReport,
+		Experiment:    spec.Experiment,
 		SpecHash:      specHash,
 		ContentHash:   contentHash,
 		GitDescribe:   m.GitDescribe,
 		RecordedAt:    m.RecordedAt.UTC().Format(time.RFC3339Nano),
 		Source:        m.Source,
-		Spec:          spec,
+		Spec:          &spec,
 		Payload:       compact,
 	}
 	entry := IndexEntry{
@@ -350,27 +336,22 @@ func canonicalPayload(payload []byte) (json.RawMessage, error) {
 	return out, nil
 }
 
-// contentHash fingerprints a payload with its volatile provenance
+// contentHash fingerprints a report payload with its volatile
+// provenance (meta.generated_at, meta.git_describe, meta.sim)
 // stripped: two runs of the same deterministic simulation hash
 // identically even though their timestamps and throughput differ.
 // Canonical form is encoding/json's marshal of the generic decode,
 // which sorts object keys.
-func contentHash(kind string, payload []byte) (string, error) {
+func contentHash(payload []byte) (string, error) {
 	var v any
 	if err := json.Unmarshal(payload, &v); err != nil {
 		return "", fmt.Errorf("store: payload: %w", err)
 	}
 	if top, ok := v.(map[string]any); ok {
-		switch kind {
-		case KindReport:
-			if meta, ok := top["meta"].(map[string]any); ok {
-				delete(meta, "generated_at")
-				delete(meta, "git_describe")
-				delete(meta, "sim")
-			}
-		case KindBench:
-			delete(top, "generated_at")
-			delete(top, "git_describe")
+		if meta, ok := top["meta"].(map[string]any); ok {
+			delete(meta, "generated_at")
+			delete(meta, "git_describe")
+			delete(meta, "sim")
 		}
 	}
 	canon, err := json.Marshal(v)

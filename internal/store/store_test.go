@@ -311,43 +311,6 @@ func TestHistoryTrajectoriesAndRollups(t *testing.T) {
 	}
 }
 
-func TestBenchHistory(t *testing.T) {
-	a, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := map[string]any{
-		"schema_version": 1,
-		"generated_at":   "2026-08-07T00:00:00Z",
-		"go_version":     "go1.x",
-		"goos":           "linux", "goarch": "amd64", "num_cpu": 8,
-		"entries": []map[string]any{
-			{"name": "frontend-cycle", "iterations": 1000, "ns_per_op": 123.0,
-				"allocs_per_op": 0, "bytes_per_op": 0},
-		},
-	}
-	data, _ := json.Marshal(env)
-	if _, added, err := a.PutBench(data, stamp(0)); err != nil || !added {
-		t.Fatalf("PutBench: added=%v err=%v", added, err)
-	}
-	// Same measurements, new timestamp → dedup (content identical).
-	env["generated_at"] = "2026-08-07T01:00:00Z"
-	data2, _ := json.Marshal(env)
-	if _, added, err := a.PutBench(data2, stamp(30)); err != nil || added {
-		t.Fatalf("identical bench re-archived: added=%v err=%v", added, err)
-	}
-	pts, err := a.BenchHistory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 1 {
-		t.Fatalf("bench history has %d points, want 1", len(pts))
-	}
-	if pts[0].Envelope.Entries[0].NsPerOp != 123.0 {
-		t.Errorf("bench payload lost: %+v", pts[0].Envelope)
-	}
-}
-
 // TestSpecSamplingNormalization pins the sampling half of the spec-
 // hash contract: knobs that provably do not change results (shard
 // count, warmup checkpointing) hash identically to their absence,
@@ -456,5 +419,56 @@ func TestSpecOfReportRecoversSampling(t *testing.T) {
 	}
 	if got, want := SpecOfReport(echoRep).Hash(), NewSpec("fig14", oEcho).Hash(); got != want {
 		t.Errorf("echo SpecOfReport hash %s != NewSpec hash %s", got, want)
+	}
+}
+
+// TestRecordIdentityPinned pins the record identity of one fixed
+// report payload, spec and PutMeta to the literal hashes archives
+// already hold. A change to the content-hash canonicalization, the
+// volatile-field stripping or the record-ID derivation would rekey
+// every existing archive (old records stop deduplicating against new
+// ones); this test is what notices.
+func TestRecordIdentityPinned(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{
+  "id": "fig14",
+  "title": "pinned",
+  "meta": {
+    "schema_version": 5,
+    "generated_at": "2026-08-07T00:00:00Z",
+    "git_describe": "v0-pinned",
+    "sim": {"wall_seconds": 1.5},
+    "warmup_instructions": 100000,
+    "measure_instructions": 300000
+  },
+  "table": {"columns": [{"name": "benchmark"}, {"name": "speedup", "unit": "x"}],
+            "rows": [[{"kind": "str", "text": "voter"}, {"kind": "num", "value": 1.25}]]}
+}`)
+	spec := Spec{
+		Experiment:          "fig14",
+		WarmupInstructions:  100_000,
+		MeasureInstructions: 300_000,
+		Benchmarks:          []experiments.BenchmarkRef{{Name: "voter", Seed: 7}},
+	}
+	m := PutMeta{
+		RecordedAt:  time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC),
+		GitDescribe: "v0-pinned",
+		Source:      "test",
+	}
+	e, added, err := a.PutReport(payload, spec, m)
+	if err != nil || !added {
+		t.Fatalf("put: added=%v err=%v", added, err)
+	}
+	const (
+		wantSpec    = "d8f5df5178f78e1d12af0110490083ec6c57dcaf79a9eab0bb59f07058749a3f"
+		wantContent = "dd0e7ffd5938f4eb8f00b579c665d0b32c3260f77d4c471e57bca23988826908"
+		wantID      = "2e5e096a83661f08811b20499929e484e9dfbb324d1e7cffd1348260b9e6bd88"
+	)
+	if e.Kind != KindReport || e.SpecHash != wantSpec || e.ContentHash != wantContent || e.ID != wantID {
+		t.Errorf("record identity moved:\n kind    %s\n spec    %s\n content %s\n id      %s\nwant kind %s, spec %s, content %s, id %s",
+			e.Kind, e.SpecHash, e.ContentHash, e.ID, KindReport, wantSpec, wantContent, wantID)
 	}
 }
