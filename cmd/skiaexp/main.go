@@ -94,8 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			"measured instructions per detail interval (0 = measure/K/10; implies -sample)")
 		sampleWarmup = fs.Uint64("sample-warmup", 0,
 			"detail micro-warmup instructions before each interval (0 = interval/2; implies -sample)")
-		sampleWarmWindow = fs.Uint64("sample-warm-window", 0,
-			"bound functional warming to the final N instructions of each interval's skip; the rest skips cold (0 = warm the whole distance; implies -sample)")
 		sampleShards = fs.Int("sample-shards", 0,
 			"fan sampled intervals out over this many cores per run; results are identical to serial (0 = 1; implies -sample)")
 		checkpoint = fs.Bool("checkpoint", false,
@@ -135,13 +133,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opts := experiments.Options{Warmup: *warmup, Measure: *measure, Workers: *workers, Interval: *intervals, Attrib: *attribOn,
 		Checkpoint: *checkpoint, SampleEcho: *sampleEcho}
-	if *sample || *sampleIntervals != 0 || *sampleInterval != 0 || *sampleWarmup != 0 ||
-		*sampleWarmWindow != 0 || *sampleShards != 0 {
+	if *sample || *sampleIntervals != 0 || *sampleInterval != 0 || *sampleWarmup != 0 || *sampleShards != 0 {
 		opts.Sample = &sim.SamplePlan{
 			Intervals:     *sampleIntervals,
 			IntervalInsts: *sampleInterval,
 			MicroWarmup:   *sampleWarmup,
-			WarmWindow:    *sampleWarmWindow,
 			Shards:        *sampleShards,
 		}
 	}

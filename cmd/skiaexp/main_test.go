@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -106,5 +109,61 @@ func TestRunArchiveDedups(t *testing.T) {
 	}
 	if n := strings.Count(string(index), "\n"); n != 1 {
 		t.Errorf("index.ndjson has %d lines after two identical runs, want 1", n)
+	}
+}
+
+// TestExperimentsDocNamesRegisteredFlags keeps EXPERIMENTS.md honest
+// about skiaexp's sampling and observability flags: every backticked
+// -sample…, -checkpoint, -intervals or -attrib token must be a flag
+// skiaexp registers, as listed by its -h usage text. Spans that name
+// another command (skiacmp, skiasim, …) document that command's flags
+// and are skipped, as are fenced code blocks.
+func TestExperimentsDocNamesRegisteredFlags(t *testing.T) {
+	var out, usage bytes.Buffer
+	if err := run([]string{"-h"}, &out, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\s+-([a-z0-9-]+)`).FindAllStringSubmatch(usage.String(), -1) {
+		registered[m[1]] = true
+	}
+	if !registered["sample"] || !registered["checkpoint"] {
+		t.Fatalf("usage text lists no sampling flags:\n%s", usage.String())
+	}
+
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prose []string
+	fenced := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			prose = append(prose, line)
+		}
+	}
+	other := regexp.MustCompile(`\bskia(cmp|sim|board|lint)\b`)
+	want := regexp.MustCompile(`^-(sample[a-z-]*|checkpoint|intervals|attrib)$`)
+	checked := 0
+	for _, span := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		if other.MatchString(span[1]) {
+			continue
+		}
+		for _, tok := range strings.Fields(span[1]) {
+			if !want.MatchString(tok) {
+				continue
+			}
+			checked++
+			if !registered[tok[1:]] {
+				t.Errorf("EXPERIMENTS.md names `%s`, which skiaexp does not register", tok)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no flag tokens in EXPERIMENTS.md")
 	}
 }

@@ -65,8 +65,6 @@ func main() {
 			"measured instructions per interval (0 = measure/K/10; implies -sample)")
 		sampleWarmup = flag.Uint64("sample-warmup", 0,
 			"detail micro-warmup before each interval (0 = interval/2; implies -sample)")
-		sampleWarmWindow = flag.Uint64("sample-warm-window", 0,
-			"bound functional warming to the final N instructions of each skip; the rest skips cold (0 = warm everything; implies -sample)")
 		sampleShards = flag.Int("sample-shards", 0,
 			"cores to fan intervals out over; identical results to serial (0 = 1; implies -sample)")
 	)
@@ -116,13 +114,11 @@ func main() {
 		Interval: *intervals,
 		Attrib:   *attribOn,
 	}
-	if *sample || *sampleIntervals != 0 || *sampleInterval != 0 || *sampleWarmup != 0 ||
-		*sampleWarmWindow != 0 || *sampleShards != 0 {
+	if *sample || *sampleIntervals != 0 || *sampleInterval != 0 || *sampleWarmup != 0 || *sampleShards != 0 {
 		spec.Sample = &sim.SamplePlan{
 			Intervals:     *sampleIntervals,
 			IntervalInsts: *sampleInterval,
 			MicroWarmup:   *sampleWarmup,
-			WarmWindow:    *sampleWarmWindow,
 			Shards:        *sampleShards,
 		}
 	}
@@ -201,9 +197,6 @@ func main() {
 	if s := res.Sampling; s != nil && !s.Exact {
 		row("sampled intervals (K x insts)", "%d x %d", s.Intervals, s.IntervalInstructions)
 		row("sampled micro-warmup", "%d insts", s.MicroWarmupInstructions)
-		if s.WarmWindowInstructions > 0 {
-			row("sampled warm window", "%d insts", s.WarmWindowInstructions)
-		}
 		row("instructions skipped / measured", "%d / %d",
 			s.Counters.SkippedInstructions, s.Counters.MeasuredInstructions)
 		for _, m := range s.Metrics {

@@ -47,7 +47,7 @@ type Options struct {
 	// SampleCI switches the diff to sampled-validation mode (skiacmp
 	// -sample-ci): only the envelopes' `sampling` sections are
 	// compared, base as the reference (normally an exact run with
-	// Runner.SampleEcho) and head as the sampled run under test. Each
+	// RunSpec.SampleEcho) and head as the sampled run under test. Each
 	// metric passes when |base.mean - head.mean| <= head.CI + base.CI
 	// + SampleATol + SampleRTol*|base.mean| — the sampled estimate
 	// must contain the reference inside its stated confidence
@@ -506,7 +506,7 @@ func diffSampling(res *Result, base, head *experiments.Report, opt Options) {
 
 // diffSampleCI validates a sampled result set against a reference
 // (Options.SampleCI): base is the reference — normally an exact run
-// whose envelope carries CI-free echo rows (Runner.SampleEcho) — and
+// whose envelope carries CI-free echo rows (RunSpec.SampleEcho) — and
 // head is the sampled run under test. Each metric must contain the
 // reference value inside its stated 95% confidence interval plus the
 // slack tolerances; the table, intervals, and attribution sections are

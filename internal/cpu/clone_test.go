@@ -168,8 +168,8 @@ func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 }
 
 // TestFastForwardResyncsToTruePath checks the functional-skip
-// primitive: after FastForward the core must be positioned on the true
-// path and able to continue simulating without forced resyncs or
+// primitive: after FastForwardWarm the core must be positioned on the
+// true path and able to continue simulating without forced resyncs or
 // emulator errors.
 func TestFastForwardResyncsToTruePath(t *testing.T) {
 	w := cloneWorkload(t, "voter")
@@ -178,23 +178,23 @@ func TestFastForwardResyncsToTruePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(50_000)
-	skipped := c.FastForward(200_000)
+	skipped := c.FastForwardWarm(200_000)
 	if skipped != 200_000 {
-		t.Fatalf("FastForward skipped %d, want 200000", skipped)
+		t.Fatalf("FastForwardWarm skipped %d, want 200000", skipped)
 	}
 	c.ResetStats()
 	if ran := c.Run(100_000); ran == 0 {
-		t.Fatal("core would not run after FastForward")
+		t.Fatal("core would not run after FastForwardWarm")
 	}
 	if err := c.Frontend().Err(); err != nil {
 		t.Fatal(err)
 	}
 	if fr := c.Result("w").FE.ForcedResyncs; fr != 0 {
-		t.Fatalf("%d forced resyncs after FastForward", fr)
+		t.Fatalf("%d forced resyncs after FastForwardWarm", fr)
 	}
 }
 
-// TestFastForwardMatchesDetailPosition checks FastForward lands on the
+// TestFastForwardMatchesDetailPosition checks FastForwardWarm lands on the
 // same architectural point detail simulation reaches: a fast-forwarded
 // core and a detail-run core, resynchronized at the same instruction
 // position, must produce identical measurement windows... except that
@@ -211,7 +211,7 @@ func TestFastForwardMatchesDetailPosition(t *testing.T) {
 	}
 	b := a.Clone()
 	a.Run(100_000) // detail
-	b.FastForward(100_000)
+	b.FastForwardWarm(100_000)
 	// Both cores continue; neither may error or force-resync.
 	a.ResetStats()
 	b.ResetStats()

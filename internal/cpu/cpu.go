@@ -136,21 +136,14 @@ func (c *Core) Clone() *Core {
 	}
 }
 
-// FastForward functionally advances the true path by up to n
-// instructions (emulator only — no cycles, no predictor or cache
-// training) and squashes the in-flight pipeline, including the ROB
-// contents, mirroring the front-end's deep-resteer resync. Skipped
-// instructions do not count as retired; window counters are unchanged.
-// It returns the number of instructions skipped (short only on halt).
-func (c *Core) FastForward(n uint64) uint64 {
-	c.rob = 0
-	return c.fe.FastForward(n)
-}
-
-// FastForwardWarm is FastForward with functional warming: predictors
-// and instruction caches are trained on the skipped true path (see
-// frontend.FastForwardWarm). Skipped instructions still do not count as
-// retired.
+// FastForwardWarm functionally advances the true path by up to n
+// instructions, training predictors and instruction caches on the
+// skipped path (see frontend.FastForwardWarm), and squashes the
+// in-flight pipeline, including the ROB contents, mirroring the
+// front-end's deep-resteer resync. No cycles are modeled; skipped
+// instructions do not count as retired and window counters are
+// unchanged. It returns the number of instructions skipped (short only
+// on halt).
 func (c *Core) FastForwardWarm(n uint64) uint64 {
 	c.rob = 0
 	return c.fe.FastForwardWarm(n)

@@ -186,15 +186,3 @@ func (e *Emulator) Step() (Step, error) {
 	e.count++
 	return st, nil
 }
-
-// Run executes up to n instructions, stopping early on halt. It returns
-// the number executed.
-func (e *Emulator) Run(n uint64) (uint64, error) {
-	var i uint64
-	for i = 0; i < n && !e.halted; i++ {
-		if _, err := e.Step(); err != nil {
-			return i, err
-		}
-	}
-	return i, nil
-}

@@ -15,7 +15,7 @@ func TestCalibrateAll(t *testing.T) {
 		t.Skip("set SKIA_CALIBRATE=1 to run the calibration sweep")
 	}
 	o := Options{Warmup: 400_000, Measure: 1_200_000}
-	r := o.runner()
+	r := sim.NewRunner()
 	for _, b := range workload.SuiteNames() {
 		w, err := r.Workload(b)
 		if err != nil {
@@ -38,6 +38,5 @@ func TestCalibrateAll(t *testing.T) {
 			res.BTBMissL1IHitFrac, stats.MPKI(fe.CondMispredicts, res.Instructions),
 			pc(fe.BTBMissCond), pc(fe.BTBMissUncond), pc(fe.BTBMissCall), pc(fe.BTBMissReturn), pc(fe.BTBMissIndirect),
 			res.IPC)
-		_ = sim.DefaultWarmup
 	}
 }

@@ -28,7 +28,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Options tunes an experiment run.
+// Options tunes an experiment run. Interval, Attrib, Sample and
+// SampleEcho say what every run computes and are copied onto each
+// RunSpec; Workers and Checkpoint only say how the specs execute.
 type Options struct {
 	// Warmup and Measure override the per-run instruction windows
 	// (zero = sim defaults).
@@ -58,13 +60,6 @@ type Options struct {
 	// continue from clones of the warmed core. Bit-identical results,
 	// less wall-clock.
 	Checkpoint bool
-	// Checkpoints, when non-nil (with Checkpoint set), is the warmed-
-	// master store runs draw from. Passing the same cache to several
-	// harness calls shares warmups across them — e.g. an exact
-	// reference sweep followed by a sampled sweep of the same figure
-	// pays each (benchmark, config, warmup) cell once. nil keeps the
-	// store private to this call.
-	Checkpoints *sim.CheckpointCache
 	// SampleEcho makes exact (non-sampled) runs publish a CI-free
 	// sampling summary row too, so an exact reference report carries
 	// the values a sampled report's confidence intervals are gated
@@ -79,16 +74,21 @@ func (o Options) benchmarks() []string {
 	return workload.SuiteNames()
 }
 
-func (o Options) runner() *sim.Runner {
+// run copies the options' result settings onto every spec and runs the
+// specs on a fresh runner built from Workers and Checkpoint. It returns
+// the runner (for its timing counters) with the results in spec order.
+func (o Options) run(specs []sim.RunSpec) (*sim.Runner, []sim.Result, error) {
+	for i := range specs {
+		specs[i].Interval = o.Interval
+		specs[i].Attrib = o.Attrib
+		specs[i].Sample = o.Sample
+		specs[i].SampleEcho = o.SampleEcho
+	}
 	r := sim.NewRunner()
 	r.Workers = o.Workers
-	r.Interval = o.Interval
-	r.Attrib = o.Attrib
-	r.Sample = o.Sample
 	r.Checkpoint = o.Checkpoint
-	r.Checkpoints = o.Checkpoints
-	r.SampleEcho = o.SampleEcho
-	return r
+	results, err := r.RunAll(specs)
+	return r, results, err
 }
 
 // Report is a rendered experiment result.

@@ -65,13 +65,12 @@ func Table2() (*Report, error) {
 // gain), showing the technique is robust to software layout
 // optimization.
 func Bolt(o Options) (*Report, error) {
-	r := o.runner()
 	variants := []string{"verilator", "verilator-bolted"}
 	var specs []sim.RunSpec
 	for _, b := range variants {
 		specs = append(specs, baselineSpec(b, o), skiaSpec(b, o))
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +87,12 @@ func Bolt(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"paper: pre-BOLT gains (10.27%%) exceed bolted gains; measured %s vs %s",
 		pct(gains[0]), pct(gains[1])))
-	return o.stamp(rep, r, variants), nil
+	return o.stamp(rep, r, results, variants), nil
 }
 
 // AblationIndexPolicy sweeps the Head decoder's start-index policy
 // (paper Section 3.2.2: First beats Zero and Merge).
 func AblationIndexPolicy(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	policies := []core.IndexPolicy{core.FirstIndex, core.ZeroIndex, core.MergeIndex}
 	var specs []sim.RunSpec
@@ -109,7 +107,7 @@ func AblationIndexPolicy(o Options) (*Report, error) {
 				Warmup: o.Warmup, Measure: o.Measure, Label: pol.String()})
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +130,7 @@ func AblationIndexPolicy(o Options) (*Report, error) {
 		}
 		tb.AddCells(cStr(pol.String()), cPct(stats.GeomeanSpeedup(ipcs, baseIPC)), cInt(bogus))
 	}
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // AblationPathCap sweeps the Head decoder's valid-path cap (paper
@@ -141,7 +139,6 @@ func AblationPathCap(o Options, caps []int) (*Report, error) {
 	if len(caps) == 0 {
 		caps = []int{1, 2, 4, 6, 8, 12}
 	}
-	r := o.runner()
 	benches := o.benchmarks()
 	var specs []sim.RunSpec
 	for _, b := range benches {
@@ -155,7 +152,7 @@ func AblationPathCap(o Options, caps []int) (*Report, error) {
 				Warmup: o.Warmup, Measure: o.Measure, Label: fmt.Sprintf("cap%d", c)})
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -185,14 +182,13 @@ func AblationPathCap(o Options, caps []int) (*Report, error) {
 		tb.AddCells(cStr(fmt.Sprintf("%d", c)), cPct(stats.GeomeanSpeedup(ipcs, baseIPC)),
 			cPct(frac), cInt(bogus))
 	}
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // AblationReplacement compares the SBB's retired-first eviction
 // (Section 4.3) with plain LRU, and the insert filter that skips
 // BTB-resident branches.
 func AblationReplacement(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	variants := []struct {
 		name                 string
@@ -215,7 +211,7 @@ func AblationReplacement(o Options) (*Report, error) {
 				Warmup: o.Warmup, Measure: o.Measure, Label: v.name})
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -240,14 +236,13 @@ func AblationReplacement(o Options) (*Report, error) {
 		tb.AddCells(cStr(v.name), cPct(stats.GeomeanSpeedup(ipcs, baseIPC)),
 			cInt(cov), cInt(bogus))
 	}
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // AblationInsertIntoBTB compares the paper's parallel SBB against
 // inserting shadow branches straight into the BTB (the design the
 // paper rejects in Section 4.2).
 func AblationInsertIntoBTB(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	sbbCfg := cpu.SkiaConfig()
 	directCfg := cpu.SkiaConfig()
@@ -265,7 +260,7 @@ func AblationInsertIntoBTB(o Options) (*Report, error) {
 		specs = append(specs, sim.RunSpec{Benchmark: b, Config: directCfg,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "direct-to-btb"})
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +286,7 @@ func AblationInsertIntoBTB(o Options) (*Report, error) {
 	}
 	tb.AddCells(cStr("parallel SBB (paper)"), cPct(stats.GeomeanSpeedup(sbbIPC, baseIPC)), cInt(sbbPhantoms))
 	tb.AddCells(cStr("direct to BTB"), cPct(stats.GeomeanSpeedup(dirIPC, baseIPC)), cInt(dirPhantoms))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // AblationWrongPath disables wrong-path prefetching during execute
@@ -299,7 +294,6 @@ func AblationInsertIntoBTB(o Options) (*Report, error) {
 // instantaneous), quantifying how much of the loss FDIP's wrong-path
 // pollution causes.
 func AblationWrongPath(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	noWP := cpu.DefaultConfig()
 	noWP.Frontend.ExecResteerPenalty = 1
@@ -311,7 +305,7 @@ func AblationWrongPath(o Options) (*Report, error) {
 		specs = append(specs, sim.RunSpec{Benchmark: b, Config: noWP,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "no-wrong-path"})
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +324,7 @@ func AblationWrongPath(o Options) (*Report, error) {
 		tb.AddCells(cStr(b), cPct(frac), cInt(base.L1I.PollutionEvicted),
 			cF3(base.IPC), cF3(inst.IPC))
 	}
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // ExtensionShadowConds evaluates the beyond-paper extension: letting
@@ -339,7 +333,6 @@ func AblationWrongPath(o Options) (*Report, error) {
 // because they need a direction prediction at use time). Compares
 // paper-Skia against extended Skia.
 func ExtensionShadowConds(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	ext := cpu.SkiaConfig()
 	ext.Frontend.SBD.IncludeConditionals = true
@@ -355,7 +348,7 @@ func ExtensionShadowConds(o Options) (*Report, error) {
 		specs = append(specs, sim.RunSpec{Benchmark: b, Config: ext,
 			Warmup: o.Warmup, Measure: o.Measure, Label: "skia+conds"})
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -379,5 +372,5 @@ func ExtensionShadowConds(o Options) (*Report, error) {
 	tb.AddCells(cStr("skia + shadow conds"), cPct(stats.GeomeanSpeedup(extIPC, baseIPC)), cInt(extCov))
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"extension phantoms: %d; conditionals compete for U-SBB capacity with the jumps and calls", extPhantom))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }

@@ -20,7 +20,6 @@ func Fig1(o Options, sizes []int) (*Report, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultBTBSizes
 	}
-	r := o.runner()
 	benches := o.benchmarks()
 	var specs []sim.RunSpec
 	for _, size := range sizes {
@@ -31,7 +30,7 @@ func Fig1(o Options, sizes []int) (*Report, error) {
 			specs = append(specs, spec)
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +59,7 @@ func Fig1(o Options, sizes []int) (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"paper: ~75%% of 8K-BTB misses are L1-I resident; measured %s", pct(frac8k)))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig3Sizes is the BTB sweep for the Figure 3 headline plot.
@@ -73,7 +72,6 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 	if len(sizes) == 0 {
 		sizes = Fig3Sizes
 	}
-	r := o.runner()
 	benches := o.benchmarks()
 	sbbBits := core.DefaultSBBConfig().StorageBits()
 
@@ -116,7 +114,7 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 			}
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -152,19 +150,18 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"shape at 8K: skia %s vs btb+state %s vs btb %s (paper: skia beats equal-state BTB until saturation)",
 		pct(s8), pct(st8), pct(p8)))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig6 reproduces Figure 6: BTB misses by branch type per benchmark at
 // the 8K-entry baseline.
 func Fig6(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	var specs []sim.RunSpec
 	for _, b := range benches {
 		specs = append(specs, baselineSpec(b, o))
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -187,19 +184,18 @@ func Fig6(o Options) (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"paper: indirect misses are a vanishing fraction everywhere; direct types dominate")
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig13 reproduces Figure 13: simulated L1-I MPKI against the
 // real-system MPKI the paper measured with VTune (stored per profile).
 func Fig13(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	var specs []sim.RunSpec
 	for _, b := range benches {
 		specs = append(specs, baselineSpec(b, o))
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +221,7 @@ func Fig13(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"aggregate difference %s (paper reports <18%% between real system and gem5)",
 		pct(math.Abs(totS-totT)/totT)))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig14 reproduces Figure 14: per-benchmark IPC gain over the 8K-BTB
@@ -233,7 +229,6 @@ func Fig13(o Options) (*Report, error) {
 // the geomean row the paper quotes (5.64% combined; 3.68% head; 4.39%
 // tail).
 func Fig14(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	variants := []struct {
 		name       string
@@ -262,7 +257,7 @@ func Fig14(o Options) (*Report, error) {
 			})
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -291,19 +286,18 @@ func Fig14(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"paper geomeans: head +3.68%%, tail +4.39%%, both +5.64%%; measured head %s, tail %s, both %s",
 		pct(gh), pct(gt), pct(gb)))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig15 reproduces Figure 15: per-benchmark BTB-miss MPKI split by
 // whether the missing branch's line was L1-I resident.
 func Fig15(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	var specs []sim.RunSpec
 	for _, b := range benches {
 		specs = append(specs, baselineSpec(b, o))
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +310,13 @@ func Fig15(o Options) (*Report, error) {
 		miss := res.BTBMissMPKI - hit
 		tb.AddCells(cStr(b), cF2(hit), cF2(miss), cPct(res.BTBMissL1IHitFrac))
 	}
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig16 reproduces Figure 16: BTB miss MPKI for the baseline, for a BTB
 // grown by the SBB budget, and for Skia (misses still unserved after
 // the SBB).
 func Fig16(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	sbbBits := core.DefaultSBBConfig().StorageBits()
 	augmented := cpu.DefaultConfig()
@@ -340,7 +333,7 @@ func Fig16(o Options) (*Report, error) {
 	for _, b := range benches {
 		specs = append(specs, skiaSpec(b, o))
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +355,7 @@ func Fig16(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"mean reduction: btb+state %s, skia %s (paper: Skia reduces far more than equal-state BTB)",
 		pct(stats.Mean(redState)), pct(stats.Mean(redSkia))))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig17Splits are the U-SBB budget fractions swept by the Figure 17
@@ -377,7 +370,6 @@ var Fig17Scales = []float64{0.25, 0.5, 1, 2, 4}
 // at the constant 12.25KB-class budget; bottom, scaling the total
 // budget at the paper's 768:2024 entry ratio.
 func Fig17(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	def := core.DefaultSBBConfig()
 	budget := def.StorageBits()
@@ -416,7 +408,7 @@ func Fig17(o Options) (*Report, error) {
 				Warmup: o.Warmup, Measure: o.Measure, Label: fmt.Sprintf("scale %.2f", scale)})
 		}
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -461,13 +453,12 @@ func Fig17(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"best split keeps both buffers populated (paper picks 768U/2024R); measured best U fraction %.0f%%",
 		bestSplit*100))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }
 
 // Fig18 reproduces Figure 18: per-benchmark reduction in decoder idle
 // cycles with Skia versus the baseline.
 func Fig18(o Options) (*Report, error) {
-	r := o.runner()
 	benches := o.benchmarks()
 	var specs []sim.RunSpec
 	for _, b := range benches {
@@ -476,7 +467,7 @@ func Fig18(o Options) (*Report, error) {
 	for _, b := range benches {
 		specs = append(specs, skiaSpec(b, o))
 	}
-	results, err := r.RunAll(specs)
+	r, results, err := o.run(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -502,5 +493,5 @@ func Fig18(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"mean idle reduction %s; paper: voter and sibench show the largest reductions",
 		pct(stats.Mean(reds))))
-	return o.stamp(rep, r, benches), nil
+	return o.stamp(rep, r, results, benches), nil
 }

@@ -13,13 +13,18 @@ import (
 // pinned byte-for-byte under testdata. The exact run attaches miss
 // attribution, so the pinned bytes cover every replayed shadow-decode
 // statistic and the OnHeadPaths valid-path distribution; the sampled
-// run covers shadow decodes during functional warming.
+// run covers shadow decodes during functional warming. The echo run
+// covers the report's `intervals` section and the exact-echo
+// `sampling` rows, both built from the run results, on a checkpointed
+// runner.
 var pinnedFig14 = map[string]Options{
 	"testdata/fig14-pinned-exact.json": {Warmup: 100_000, Measure: 300_000,
 		Benchmarks: []string{"voter", "noop"}, Attrib: true},
 	"testdata/fig14-pinned-sampled.json": {Warmup: 50_000, Measure: 400_000,
 		Benchmarks: []string{"voter"},
 		Sample:     &sim.SamplePlan{Intervals: 4, IntervalInsts: 20_000, MicroWarmup: 10_000}},
+	"testdata/fig14-pinned-echo.json": {Warmup: 50_000, Measure: 200_000,
+		Benchmarks: []string{"voter"}, Interval: 50_000, SampleEcho: true, Checkpoint: true},
 }
 
 // TestFig14ReportPinned is the end-to-end guarantee behind the shared
@@ -32,7 +37,7 @@ var pinnedFig14 = map[string]Options{
 // TestFig14ReportPinned ./internal/experiments.
 func TestFig14ReportPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two Fig. 14 sweeps")
+		t.Skip("runs three Fig. 14 sweeps")
 	}
 	for path, o := range pinnedFig14 {
 		rep, err := Fig14(o)

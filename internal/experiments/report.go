@@ -3,7 +3,9 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -63,19 +65,16 @@ type RunMeta struct {
 	// the run's simulation-affecting spec is recoverable from the
 	// envelope (internal/store keys its archive on it).
 	IntervalInstructions uint64 `json:"interval_instructions,omitempty"`
-	// SampleIntervals, SampleIntervalInstructions,
-	// SampleMicroWarmupInstructions, and SampleWarmWindowInstructions
-	// are the effective sampled-simulation plan (Options.Sample,
-	// defaults resolved): K detail intervals of this many instructions
-	// each, preceded by this much detail re-warmup, with functional
-	// warming bounded to the final warm-window instructions of each
-	// skip (0 = the whole distance warms). All zero when the run was
-	// exact. These change the simulated result, so they are part of
-	// the recoverable spec (internal/store.SpecOfReport). Schema v5.
+	// SampleIntervals, SampleIntervalInstructions, and
+	// SampleMicroWarmupInstructions are the effective sampled-simulation
+	// plan (Options.Sample, defaults resolved): K detail intervals of
+	// this many instructions each, preceded by this much detail
+	// re-warmup. All zero when the run was exact. These change the
+	// simulated result, so they are part of the recoverable spec
+	// (internal/store.SpecOfReport). Schema v5.
 	SampleIntervals               int    `json:"sample_intervals,omitempty"`
 	SampleIntervalInstructions    uint64 `json:"sample_interval_instructions,omitempty"`
 	SampleMicroWarmupInstructions uint64 `json:"sample_micro_warmup_instructions,omitempty"`
-	SampleWarmWindowInstructions  uint64 `json:"sample_warm_window_instructions,omitempty"`
 	// SampleShards is the intra-run sharding width the sampled run fan
 	// out over. Recorded for provenance only: shard count never
 	// changes the result (sharded and serial runs are DeepEqual), so
@@ -97,9 +96,10 @@ type RunMeta struct {
 
 // stamp fills the report's run-metadata envelope from the options, the
 // benchmark list actually simulated, and the runner that executed the
-// specs (nil for static tables). It returns the report for use in
-// return statements.
-func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
+// specs (nil for static tables), and the `intervals`, `attribution` and
+// `sampling` sections from the results that runner returned. It returns
+// the report for use in return statements.
+func (o Options) stamp(rep *Report, r *sim.Runner, results []sim.Result, benches []string) *Report {
 	warm, meas := o.Warmup, o.Measure
 	if warm == 0 {
 		warm = sim.DefaultWarmup
@@ -114,7 +114,6 @@ func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
 		m.SampleIntervals = p.Intervals
 		m.SampleIntervalInstructions = p.IntervalInsts
 		m.SampleMicroWarmupInstructions = p.MicroWarmup
-		m.SampleWarmWindowInstructions = p.WarmWindow
 		m.SampleShards = p.Shards
 	}
 	for _, b := range benches {
@@ -134,9 +133,27 @@ func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
 				m.ConfigLabels = append(m.ConfigLabels, sp.Label)
 			}
 		}
-		rep.Intervals = r.IntervalSummaries()
-		rep.Attribution = r.AttributionSummaries()
-		rep.Sampling = r.SamplingSummaries()
+	}
+	// Sections list specs by (benchmark, label), ties in spec order.
+	sorted := append([]sim.Result(nil), results...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		a, b := &sorted[i], &sorted[j]
+		return a.Benchmark < b.Benchmark || (a.Benchmark == b.Benchmark && a.Label < b.Label)
+	})
+	for i := range sorted {
+		res := &sorted[i]
+		if o.Interval > 0 {
+			rep.Intervals = append(rep.Intervals, sim.SpecIntervals{Benchmark: res.Benchmark,
+				Label: res.Label, Summary: metrics.Summarize(o.Interval, res.Intervals)})
+		}
+		if res.Attribution != nil {
+			rep.Attribution = append(rep.Attribution, sim.SpecAttribution{Benchmark: res.Benchmark,
+				Label: res.Label, Summary: *res.Attribution})
+		}
+		if res.Sampling != nil {
+			rep.Sampling = append(rep.Sampling, sim.SpecSampling{Benchmark: res.Benchmark,
+				Label: res.Label, Summary: *res.Sampling})
+		}
 	}
 	rep.Meta = m
 	return rep

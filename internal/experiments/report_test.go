@@ -82,7 +82,7 @@ func TestReportMetaStamped(t *testing.T) {
 	// Defaults resolve when the options leave windows at zero.
 	var o2 Options
 	rep2 := &Report{ID: "x", Table: stats.NewTable("a")}
-	o2.stamp(rep2, nil, nil)
+	o2.stamp(rep2, nil, nil, nil)
 	if rep2.Meta.WarmupInstructions == 0 || rep2.Meta.MeasureInstructions == 0 {
 		t.Errorf("default windows not resolved: %+v", rep2.Meta)
 	}

@@ -12,10 +12,10 @@ import (
 // direction/target predictors, RAS, SBB/SBD, FTQ, and
 // every in-flight IAG/decode slot — so a warmed front-end can be
 // captured once and re-run many times (config sweeps sharing a warmup
-// prefix, sampled simulation, intra-run sharding). FastForward advances
-// the architectural path functionally (emulator only) and resyncs the
-// speculative state, the cheap skip primitive interval sampling splices
-// detail windows with.
+// prefix, sampled simulation, intra-run sharding). FastForwardWarm
+// advances the architectural path functionally, training predictors and
+// caches on the way, and resyncs the speculative state: the skip
+// primitive interval sampling splices detail windows with.
 
 // cloneBlock deep-copies one FTQ block: everything is a value except
 // the Conds slice, whose backing array is owned by exactly one block
@@ -96,68 +96,30 @@ func (f *FrontEnd) Clone() *FrontEnd {
 	return n
 }
 
-// FastForward advances the true path by up to n instructions using the
-// functional emulator only — no cycles are modeled, no predictor or
-// cache state is touched — and resyncs the speculative front-end to the
-// new architectural point, exactly like a deep re-steer: FTQ and
-// current block squashed, pending re-steer and queued shadow decodes
-// dropped, RAS reloaded from the architectural stack, TAGE/ITTAGE
-// speculative histories repaired from their committed state.
+// FastForwardWarm advances the true path by up to n instructions with
+// functional warming (the SMARTS idiom): while skipping, every committed
+// instruction trains the predictors and touches the instruction-cache
+// hierarchy on the true path. No cycles are modeled, but the BTB, TAGE,
+// ITTAGE, and cache contents keep tracking what detail execution would
+// have learned, so sampled measurements of workloads whose predictors
+// are still learning carry no cold-microarchitecture bias. Statistics
+// counters are perturbed freely (sampled runs reset them before
+// measuring). SBB/SBD shadow state is warmed too: the head/tail shadow
+// regions detail would have scheduled for decode (target-entry lines
+// entered mid-line, lines exited mid-line by a taken branch) are
+// decoded inline, so the shadow-branch supply is at temperature when
+// measurement starts.
 //
-// A pending (executed-but-undelivered) step counts as the first skipped
-// instruction. It returns the number of instructions skipped, which is
-// short of n only when the workload halts.
-func (f *FrontEnd) FastForward(n uint64) uint64 {
-	// Squash all in-flight speculative state.
-	f.flushFTQ()
-	f.clearCur()
-	f.hasRedir = false
-	f.iagStallTill = 0
-	f.idleStreak = 0
-	f.sbdTasks = f.sbdTasks[:0]
-
-	var skipped uint64
-	if f.hasPending && n > 0 {
-		f.consume()
-		skipped++
-	}
-	if n > skipped && !f.em.Halted() {
-		ran, err := f.em.Run(n - skipped)
-		skipped += ran
-		if err != nil {
-			f.err = err
-			f.done = true
-			return skipped
-		}
-	}
-	if f.em.Halted() {
-		f.done = true
-	}
-
-	// Resync the IAG and predictors to the architectural point.
-	f.specPC = f.em.PC()
-	f.entryTgt = true
-	f.rs.LoadFrom(f.em.Stack())
-	f.tg.SyncSpec()
-	f.it.SyncSpec()
-	return skipped
-}
-
-// FastForwardWarm is FastForward with functional warming (the SMARTS
-// idiom): while skipping, every committed instruction trains the
-// predictors and touches the instruction-cache hierarchy on the true
-// path. No cycles are modeled, but the BTB, TAGE, ITTAGE, and cache
-// contents keep tracking what detail execution would have learned —
-// which removes the cold-microarchitecture bias that pure functional
-// skipping leaves in sampled measurements of workloads whose predictors
-// are still learning. Statistics counters are perturbed freely (sampled
-// runs reset them before measuring). SBB/SBD shadow state is warmed
-// too: the head/tail shadow regions detail would have scheduled for
-// decode (target-entry lines entered mid-line, lines exited mid-line
-// by a taken branch) are decoded inline, so the shadow-branch supply
-// is at temperature when measurement starts.
+// The speculative front-end is then resynced to the new architectural
+// point, exactly like a deep re-steer: FTQ and current block squashed,
+// pending re-steer and queued shadow decodes dropped, RAS reloaded from
+// the architectural stack, TAGE/ITTAGE speculative histories repaired
+// from their committed state. A pending (executed-but-undelivered) step
+// counts as the first skipped instruction. It returns the number of
+// instructions skipped, which is short of n only when the workload
+// halts.
 func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
-	// Squash all in-flight speculative state (as FastForward does).
+	// Squash all in-flight speculative state.
 	f.flushFTQ()
 	f.clearCur()
 	f.hasRedir = false

@@ -9,10 +9,11 @@ import (
 )
 
 // wantRe matches the fixture expectation syntax, analysistest-style:
-// a `// want `+"`regex`"+`` comment on the line a diagnostic lands on.
-// The block form `/* want `+"`regex`"+` */` exists for lines where a
-// //skia: line directive already owns the rest of the line (the
-// directive analyzer's own fixtures).
+// a "// want" comment followed by a backquoted regex, on the line a
+// diagnostic lands on. The block form, "/* want" plus a backquoted
+// regex plus "*/", exists for lines where a //skia: line directive
+// already owns the rest of the line (the directive analyzer's own
+// fixtures).
 var wantRe = regexp.MustCompile("(?://|/\\*) want `([^`]+)`")
 
 // runFixture analyzes one fixture package under testdata/src and

@@ -5,15 +5,15 @@
 // detail. The sampled path pays detail only where it measures: after
 // the (checkpointable) warmup, a single cursor fast-forwards across the
 // measurement window — functionally warming predictors and caches on
-// the committed path unless the plan opts out — and interval start
-// states are cloned off it, so every skipped instruction is traversed
-// exactly once no matter how many intervals sample the window. K short
-// detail intervals (micro-warmup + measurement) then run on those
-// snapshots. Because the snapshot pass is serial and deterministic and
-// each interval is a pure function of its snapshot, the per-interval
-// results are independent of how intervals are distributed over shard
-// goroutines — sharded and serial sampled runs are DeepEqual by
-// construction, which the CI sampling job gates.
+// the committed path — and interval start states are cloned off it, so
+// every skipped instruction is traversed exactly once no matter how
+// many intervals sample the window. K short detail intervals
+// (micro-warmup + measurement) then run on those snapshots. Because the
+// snapshot pass is serial and deterministic and each interval is a
+// pure function of its snapshot, the per-interval results are
+// independent of how intervals are distributed over shard goroutines —
+// sharded and serial sampled runs are DeepEqual by construction, which
+// the CI sampling job gates.
 //
 // Point estimates are ratios of summed counters (not means of
 // per-interval ratios); each reported metric carries a 95% confidence
@@ -57,33 +57,13 @@ type SamplePlan struct {
 	// Shards is the number of goroutines interval execution fans out
 	// over within one run (0 = 1). Results are shard-count-invariant.
 	Shards int
-	// WarmWindow bounds the functional-warming horizon: when non-zero,
-	// only the final WarmWindow instructions of each interval's
-	// fast-forward run with functional warming; the distance before
-	// that is skipped cold (emulator only). Predictor and cache state
-	// has finite memory, so a horizon comfortably longer than it
-	// approximates full-distance warming while long skips run at
-	// cold-skip speed. Zero warms the entire skip distance (the most
-	// accurate and slowest setting). Ignored under ColdSkip.
-	WarmWindow uint64
-	// ColdSkip disables functional warming during the fast-forward:
-	// skipped instructions advance the emulator only, leaving predictors
-	// and caches as the checkpoint left them. Faster per skipped
-	// instruction, but biased whenever the workload's predictors are
-	// still learning inside the measurement window; the default (warmed)
-	// skip trains predictors and instruction caches on the skipped true
-	// path (frontend.FastForwardWarm).
-	ColdSkip bool
 }
 
 // Normalized resolves plan defaults against a measurement window,
 // returning the effective K, interval length, micro-warmup, and shard
 // count a run with this plan uses. Report metadata records the
 // normalized plan so a sampled run is reproducible from its envelope.
-func (p SamplePlan) Normalized(meas uint64) SamplePlan { return p.normalized(meas) }
-
-// normalized resolves plan defaults against the measurement window.
-func (p SamplePlan) normalized(meas uint64) SamplePlan {
+func (p SamplePlan) Normalized(meas uint64) SamplePlan {
 	if p.Intervals <= 0 {
 		p.Intervals = DefaultSampleIntervals
 	}
@@ -100,6 +80,25 @@ func (p SamplePlan) normalized(meas uint64) SamplePlan {
 		p.Shards = 1
 	}
 	return p
+}
+
+// checkSampled rejects a sampled spec the run cannot honour: intervals
+// longer than their share of the window (they would overlap and
+// measure past its end; this also rejects K > meas), a tracer (the
+// spliced stream has no single cycle axis) and attribution (summaries
+// cannot be merged across intervals). plan is the normalized plan.
+func (s RunSpec) checkSampled(plan SamplePlan, meas uint64) error {
+	if share := meas / uint64(plan.Intervals); plan.IntervalInsts > share {
+		return fmt.Errorf("sampling plan measures %d intervals of %d instructions, but a %d-instruction window leaves each at most %d",
+			plan.Intervals, plan.IntervalInsts, meas, share)
+	}
+	if s.Tracer != nil {
+		return fmt.Errorf("sampling does not support tracing (the spliced stream has no single cycle axis)")
+	}
+	if s.Attrib {
+		return fmt.Errorf("sampling does not support attribution; run exact for attribution studies")
+	}
+	return nil
 }
 
 // intervalStart returns interval i's offset from the measurement-window
@@ -123,7 +122,7 @@ func (p SamplePlan) intervalStart(i int, meas uint64) uint64 {
 type SampleStats struct {
 	// PlannedWindow is the full measurement window being sampled.
 	PlannedWindow uint64 `json:"planned_window"`
-	// SkippedInstructions were advanced functionally (emulator only).
+	// SkippedInstructions were advanced functionally, with warming.
 	SkippedInstructions uint64 `json:"skipped_instructions"`
 	// MicroWarmupInstructions ran in detail before measurement began.
 	MicroWarmupInstructions uint64 `json:"micro_warmup_instructions"`
@@ -147,15 +146,12 @@ type MetricCI struct {
 // SampleSummary is one run's sampling outcome, embedded in report
 // envelopes under the (additive, schema v5) `sampling` section.
 type SampleSummary struct {
-	// Intervals, IntervalInstructions, MicroWarmupInstructions, and
-	// WarmWindowInstructions echo the normalized plan (all zero for
-	// exact echoes; a zero warm window means the full skip distance was
-	// warmed).
+	// Intervals, IntervalInstructions, and MicroWarmupInstructions echo
+	// the normalized plan (all zero for exact echoes).
 	Intervals               int    `json:"intervals"`
 	IntervalInstructions    uint64 `json:"interval_instructions"`
 	MicroWarmupInstructions uint64 `json:"micro_warmup_instructions"`
-	WarmWindowInstructions  uint64 `json:"warm_window_instructions,omitempty"`
-	// Exact marks an echo row from a full-detail run (Runner.SampleEcho):
+	// Exact marks an echo row from a full-detail run (RunSpec.SampleEcho):
 	// the means are exact values and every CI is zero. skiacmp
 	// -sample-ci uses such rows as the reference side.
 	Exact bool `json:"exact,omitempty"`
@@ -238,7 +234,7 @@ func confidence95(vals []float64) float64 {
 }
 
 // exactEcho builds the sampling row a full-detail run publishes when
-// Runner.SampleEcho is set: exact means, zero confidence intervals.
+// RunSpec.SampleEcho is set: exact means, zero confidence intervals.
 // It lets skiacmp -sample-ci gate a sampled run against an exact one
 // over identical (benchmark, label, metric) keys.
 func exactEcho(res *cpu.Result, meas uint64) *SampleSummary {
@@ -346,20 +342,11 @@ func (r *Runner) warmCore(ctx context.Context, spec RunSpec, w *workload.Workloa
 	return cell.core.Clone(), nil
 }
 
-// specPlan resolves the effective sampling plan for a spec (spec
-// override first, then the runner default; nil = exact).
-func (r *Runner) specPlan(spec RunSpec) *SamplePlan {
-	if spec.Sample != nil {
-		return spec.Sample
-	}
-	return r.Sample
-}
-
 // fastForward advances the core functionally by n instructions in
-// cancellation-polled chunks — with functional warming unless the plan
-// opts out. Functional stepping is an order of magnitude faster than
-// detail, so the chunk is proportionally larger.
-func (r *Runner) fastForward(ctx context.Context, c *cpu.Core, n uint64, cold bool) (uint64, error) {
+// cancellation-polled chunks, warming predictors and caches on the
+// skipped path. Functional stepping is an order of magnitude faster
+// than detail, so the chunk is proportionally larger.
+func (r *Runner) fastForward(ctx context.Context, c *cpu.Core, n uint64) (uint64, error) {
 	const ffChunk = 8 * ctxCheckChunk
 	var skipped uint64
 	for skipped < n {
@@ -370,12 +357,7 @@ func (r *Runner) fastForward(ctx context.Context, c *cpu.Core, n uint64, cold bo
 		if step > ffChunk {
 			step = ffChunk
 		}
-		var ran uint64
-		if cold {
-			ran = c.FastForward(step)
-		} else {
-			ran = c.FastForwardWarm(step)
-		}
+		ran := c.FastForwardWarm(step)
 		skipped += ran
 		if ran < step {
 			break // workload halted
@@ -414,21 +396,8 @@ func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan Samp
 			mw = start
 		}
 		if target := start - mw; target > pos {
-			d := target - pos
-			warm := d
-			if !plan.ColdSkip && plan.WarmWindow > 0 && plan.WarmWindow < d {
-				// Bounded warming horizon: cover the far distance cold,
-				// then warm the final WarmWindow instructions.
-				cold := d - plan.WarmWindow
-				skipped, err := r.fastForward(ctx, master, cold, true)
-				deltas[i] += skipped
-				if err != nil {
-					return nil, nil, fmt.Errorf("interval %d: fast-forward aborted: %w", i, err)
-				}
-				warm = plan.WarmWindow
-			}
-			skipped, err := r.fastForward(ctx, master, warm, plan.ColdSkip)
-			deltas[i] += skipped
+			skipped, err := r.fastForward(ctx, master, target-pos)
+			deltas[i] = skipped
 			if err != nil {
 				return nil, nil, fmt.Errorf("interval %d: fast-forward aborted: %w", i, err)
 			}
@@ -447,7 +416,7 @@ func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan Samp
 // Each snapshot is consumed by exactly one interval, and the outcome is
 // a pure function of (snapshot, plan), which together with the serial
 // snapshot pass makes sharding shard-count-invariant.
-func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, plan SamplePlan, meas uint64, i int, interval uint64) (intervalOutcome, error) {
+func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, plan SamplePlan, meas uint64, i int) (intervalOutcome, error) {
 	var out intervalOutcome
 	start := plan.intervalStart(i, meas)
 	mw := plan.MicroWarmup
@@ -461,8 +430,8 @@ func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, pla
 	out.stats.MicroWarmupInstructions = c.Retired() - before
 	c.ResetStats()
 	var col *metrics.Collector
-	if interval > 0 {
-		col = metrics.NewCollector(interval)
+	if spec.Interval > 0 {
+		col = metrics.NewCollector(spec.Interval)
 		c.AttachCollector(col)
 	}
 	if err := r.runWindow(ctx, c, plan.IntervalInsts); err != nil {
@@ -490,15 +459,10 @@ func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, pla
 // merges counters in interval order (deterministic regardless of
 // scheduling), splices interval-metric rows onto the measurement
 // window's instruction axis, and attaches per-metric confidence
-// intervals. detailInsts is the detail work actually executed, for
-// throughput accounting.
-func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core, plan SamplePlan, meas uint64, interval uint64) (res Result, detailInsts uint64, err error) {
-	if spec.Tracer != nil {
-		return Result{}, 0, fmt.Errorf("sim: %s: sampling does not support tracing (the spliced stream has no single cycle axis)", spec.Benchmark)
-	}
-	if spec.Attrib || r.Attrib {
-		return Result{}, 0, fmt.Errorf("sim: %s: sampling does not support attribution; run exact for attribution studies", spec.Benchmark)
-	}
+// intervals. plan is normalized and checked (RunSpec.checkSampled).
+// detailInsts is the detail work actually executed, for throughput
+// accounting.
+func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core, plan SamplePlan, meas uint64) (res Result, detailInsts uint64, err error) {
 	K := plan.Intervals
 	snaps, deltas, err := r.buildSnapshots(ctx, master, plan, meas)
 	if err != nil {
@@ -516,7 +480,7 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < K; i += shards {
-				outs[i], errs[i] = r.runInterval(ctx, spec, snaps[i], plan, meas, i, interval)
+				outs[i], errs[i] = r.runInterval(ctx, spec, snaps[i], plan, meas, i)
 				outs[i].stats.SkippedInstructions = deltas[i]
 				outs[i].stats.AdvancedInstructions += deltas[i]
 				snaps[i] = nil // release the snapshot's memory promptly
@@ -562,7 +526,6 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 		Intervals:               K,
 		IntervalInstructions:    plan.IntervalInsts,
 		MicroWarmupInstructions: plan.MicroWarmup,
-		WarmWindowInstructions:  plan.WarmWindow,
 		Counters:                sstats,
 	}
 	vals := make([]float64, K)
@@ -574,34 +537,6 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 			Name: m.name, Mean: m.get(&agg), CI: confidence95(vals),
 		})
 	}
-	out := Result{Result: agg, Label: spec.Label, Sampling: summary}
-	if interval > 0 {
-		out.Intervals = rows
-	}
+	out := Result{Result: agg, Label: spec.Label, Intervals: rows, Sampling: summary}
 	return out, sstats.MicroWarmupInstructions + sstats.MeasuredInstructions, nil
-}
-
-// SamplingSummaries returns one sampling summary per sampled (or
-// exact-echo) run so far, sorted by benchmark then label (matching
-// Stats().Specs order).
-func (r *Runner) SamplingSummaries() []SpecSampling {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]SpecSampling(nil), r.samplingSums...)
-	sortByBenchLabel(out, func(s SpecSampling) (string, string) { return s.Benchmark, s.Label })
-	return out
-}
-
-// sortByBenchLabel stable-sorts xs by (benchmark, label).
-func sortByBenchLabel[T any](xs []T, key func(T) (string, string)) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0; j-- {
-			bj, lj := key(xs[j])
-			bp, lp := key(xs[j-1])
-			if bp < bj || (bp == bj && lp <= lj) {
-				break
-			}
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -144,7 +144,7 @@ func TestSampleConservation(t *testing.T) {
 		t.Errorf("planned window %d, want %d", c.PlannedWindow, meas)
 	}
 
-	np := plan.normalized(meas)
+	np := plan.Normalized(meas)
 	// Every interval measures at least IntervalInsts and overshoots by
 	// less than the retire width.
 	K := uint64(np.Intervals)
@@ -336,10 +336,9 @@ func TestCheckpointKeySeparatesConfigs(t *testing.T) {
 // carries a sampling summary marked Exact whose means are the exact
 // metric values with zero confidence intervals.
 func TestSampleEchoPublishesExactRow(t *testing.T) {
-	r := NewRunner()
-	r.SampleEcho = true
 	spec := sampleSpec("voter", true)
-	res, err := r.Run(spec)
+	spec.SampleEcho = true
+	res, err := NewRunner().Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +359,6 @@ func TestSampleEchoPublishesExactRow(t *testing.T) {
 		if want := sampleMetrics[i].get(&res.Result); m.Mean != want {
 			t.Errorf("%s: echo mean %g, exact value %g", m.Name, m.Mean, want)
 		}
-	}
-	sums := r.SamplingSummaries()
-	if len(sums) != 1 || !sums[0].Summary.Exact {
-		t.Fatalf("runner summaries = %+v, want one exact row", sums)
 	}
 }
 
@@ -386,7 +381,7 @@ func TestSamplingRejectsTracerAndAttrib(t *testing.T) {
 
 // TestSamplePlanNormalization pins the plan defaulting rules.
 func TestSamplePlanNormalization(t *testing.T) {
-	np := SamplePlan{}.normalized(1_000_000)
+	np := SamplePlan{}.Normalized(1_000_000)
 	if np.Intervals != DefaultSampleIntervals {
 		t.Errorf("default intervals %d, want %d", np.Intervals, DefaultSampleIntervals)
 	}
@@ -400,31 +395,64 @@ func TestSamplePlanNormalization(t *testing.T) {
 		t.Errorf("default shards %d, want 1", np.Shards)
 	}
 	// Tiny windows still produce a positive detail length.
-	if np := (SamplePlan{Intervals: 4}).normalized(8); np.IntervalInsts == 0 {
+	if np := (SamplePlan{Intervals: 4}).Normalized(8); np.IntervalInsts == 0 {
 		t.Error("tiny window normalized to zero interval length")
 	}
 }
 
-// TestRunnerSampleDefaultAndOverride: Runner.Sample applies to specs
-// without a plan; a spec-level plan wins.
-func TestRunnerSampleDefaultAndOverride(t *testing.T) {
-	r := NewRunner()
-	r.Sample = &SamplePlan{Intervals: 4}
-	spec := sampleSpec("voter", true)
-	res, err := r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sampling == nil || res.Sampling.Intervals != 4 {
-		t.Fatalf("runner default plan not applied: %+v", res.Sampling)
-	}
-	spec.Sample = &SamplePlan{Intervals: 2}
-	res, err = r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sampling == nil || res.Sampling.Intervals != 2 {
-		t.Fatalf("spec override not applied: %+v", res.Sampling)
+// TestSamplePlanMustFitWindow: a plan whose normalized interval length
+// exceeds its share of the measurement window (meas/K) would overlap
+// intervals and measure past the window's end, so the run must fail
+// before warmup. Plans that fit, including the exact fit L == meas/K,
+// the default plan and the plans the benchmark and pinned reports use,
+// must pass the same check.
+func TestSamplePlanMustFitWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan SamplePlan
+		meas uint64
+		ok   bool
+	}{
+		{"overlapping intervals", SamplePlan{Intervals: 4, IntervalInsts: 50_000}, 100_000, false},
+		{"more intervals than instructions", SamplePlan{Intervals: 9}, 8, false},
+		{"exact fit", SamplePlan{Intervals: 4, IntervalInsts: 25_000}, 100_000, true},
+		{"default plan", SamplePlan{}, DefaultMeasure, true},
+		{"benchmark plan", SamplePlan{Intervals: 4, IntervalInsts: 10_000, MicroWarmup: 5_000, Shards: 1}, 250_000, true},
+		{"benchmark smoke plan", SamplePlan{Intervals: 2, IntervalInsts: 2_000, MicroWarmup: 1_000, Shards: 1}, 40_000, true},
+		{"pinned plan", SamplePlan{Intervals: 4, IntervalInsts: 20_000, MicroWarmup: 10_000}, 400_000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := RunSpec{Benchmark: "noop", Config: cpu.SkiaConfig(), Warmup: 20_000, Measure: tc.meas}
+			err := spec.checkSampled(tc.plan.Normalized(tc.meas), tc.meas)
+			if tc.ok != (err == nil) {
+				t.Fatalf("checkSampled = %v, want ok=%v", err, tc.ok)
+			}
+			if tc.meas > 400_000 {
+				return // the check above is the whole contract; skip the long run
+			}
+			spec.Sample = &tc.plan
+			r := NewRunner()
+			res, err := r.Run(spec)
+			if !tc.ok {
+				// The run refuses before simulating anything.
+				if err == nil || !strings.Contains(err.Error(), "sampling plan") {
+					t.Fatalf("Run = %v, want a sampling plan error", err)
+				}
+				if st := r.Stats(); st.Runs != 0 {
+					t.Errorf("rejected run booked %d runs", st.Runs)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Intervals stay inside the window, up to the retire-width
+			// overshoot each interval may add.
+			c := res.Sampling.Counters
+			if slack := uint64(tc.plan.Intervals * spec.Config.RetireWidth); c.MeasuredInstructions > tc.meas+slack {
+				t.Errorf("measured %d instructions for a %d-instruction window", c.MeasuredInstructions, tc.meas)
+			}
+		})
 	}
 }
 

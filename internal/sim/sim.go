@@ -43,20 +43,24 @@ type RunSpec struct {
 	Label string
 	// Interval enables interval metrics collection over the
 	// measurement window, one row per this many retired instructions
-	// (0 falls back to the Runner's Interval; both 0 disables).
+	// (0 disables).
 	Interval uint64
 	// Tracer, when non-nil, receives front-end events during the
 	// measurement window. Each spec needs its own tracer: cores are
 	// not safe for concurrent use and RunAll runs specs in parallel.
 	Tracer metrics.Tracer
-	// Attrib enables miss attribution over the measurement window (the
-	// Runner's Attrib flag enables it for every spec). Each run gets a
-	// private attrib.Engine, so RunAll stays race-free.
+	// Attrib enables miss attribution over the measurement window.
+	// Each run gets a private attrib.Engine, so RunAll stays race-free.
 	Attrib bool
 	// Sample, when non-nil, switches this spec to sampled simulation
-	// (overriding the Runner's plan; see SamplePlan). nil falls back to
-	// the Runner's Sample, and exact simulation when both are nil.
+	// (see SamplePlan); nil means exact simulation.
 	Sample *SamplePlan
+	// SampleEcho, when set on an exact (non-sampled) spec, makes the run
+	// publish a sampling summary too: exact metric values with zero
+	// confidence intervals. It exists so a CI job can diff a sampled
+	// sweep against an exact one with skiacmp -sample-ci over identical
+	// keys.
+	SampleEcho bool
 }
 
 // Result pairs a cpu.Result with its spec label.
@@ -64,14 +68,14 @@ type Result struct {
 	cpu.Result
 	Label string
 	// Intervals holds the per-interval timeseries rows when the spec
-	// (or runner) enabled interval collection; nil otherwise.
+	// enabled interval collection; nil otherwise.
 	Intervals []metrics.Interval
-	// Attribution holds the miss-attribution summary when the spec (or
-	// runner) enabled it; nil otherwise.
+	// Attribution holds the miss-attribution summary when the spec
+	// enabled it; nil otherwise.
 	Attribution *attrib.Summary
 	// Sampling holds the sampled-simulation summary (per-metric
 	// confidence intervals, conservation counters) when the run was
-	// sampled, or an exact echo when Runner.SampleEcho was set; nil
+	// sampled, or an exact echo when RunSpec.SampleEcho was set; nil
 	// otherwise.
 	Sampling *SampleSummary
 }
@@ -123,22 +127,15 @@ type RunnerStats struct {
 // Runner generates and caches workloads so that every configuration of
 // a benchmark simulates the same program bytes. Workloads are immutable
 // after generation, so the cache is safe to share across goroutines.
+// A RunSpec says what a run computes; the Runner only says how specs
+// execute (worker count, warmup checkpoints), so no Runner setting
+// changes a result.
 type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*workload.Workload
 	// Workers bounds concurrent simulations in RunAll (default:
 	// GOMAXPROCS).
 	Workers int
-	// Interval, when nonzero, enables interval metrics on every Run
-	// whose spec leaves RunSpec.Interval at zero — the switch the
-	// experiment harnesses flip from Options without touching specs.
-	Interval uint64
-	// Attrib enables miss attribution on every Run; specs can also opt
-	// in individually via RunSpec.Attrib.
-	Attrib bool
-	// Sample, when non-nil, switches every Run whose spec leaves
-	// RunSpec.Sample nil to sampled simulation (see SamplePlan).
-	Sample *SamplePlan
 	// Checkpoint enables warmup checkpointing: one warmed master core
 	// is kept per (benchmark, config, warmup) and every run starts from
 	// a clone, so specs sharing a warmup prefix pay it once. Exact
@@ -152,22 +149,13 @@ type Runner struct {
 	// (benchmark, config, warmup) cell once. nil keeps a runner-local
 	// store.
 	Checkpoints *CheckpointCache
-	// SampleEcho, when set, makes exact (non-sampled) runs publish a
-	// sampling summary too: exact metric values with zero confidence
-	// intervals. It exists so a CI job can diff a sampled sweep against
-	// an exact one with skiacmp -sample-ci over identical keys.
-	SampleEcho bool
-	// All capture below is guarded by mu: Run is called from RunAll's
-	// worker goroutines, and each run's collector lives privately in
-	// its Run call until record() books the summary.
-	timings      []SpecTiming
-	intervalSums []SpecIntervals
-	attribSums   []SpecAttribution
-	samplingSums []SpecSampling
-	totalInsts   uint64
-	cpuSeconds   float64
-	firstStart   time.Time
-	lastEnd      time.Time
+	// The timing counters below are guarded by mu: Run is called from
+	// RunAll's worker goroutines, and record() books each finished run.
+	timings    []SpecTiming
+	totalInsts uint64
+	cpuSeconds float64
+	firstStart time.Time
+	lastEnd    time.Time
 }
 
 // NewRunner returns an empty runner.
@@ -196,10 +184,8 @@ func (r *Runner) Workload(name string) (*workload.Workload, error) {
 }
 
 // record books one successful simulation into the runner's timing
-// counters, together with its interval summary when interval metrics
-// ran, its attribution summary when an engine was attached, and its
-// sampling summary when the run was sampled (or exact-echoed).
-func (r *Runner) record(spec RunSpec, insts uint64, start, end time.Time, ivSum *metrics.Summary, at *attrib.Summary, samp *SampleSummary) {
+// counters.
+func (r *Runner) record(spec RunSpec, insts uint64, start, end time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.timings = append(r.timings, SpecTiming{
@@ -208,27 +194,6 @@ func (r *Runner) record(spec RunSpec, insts uint64, start, end time.Time, ivSum 
 		Instructions: insts,
 		Seconds:      end.Sub(start).Seconds(),
 	})
-	if ivSum != nil {
-		r.intervalSums = append(r.intervalSums, SpecIntervals{
-			Benchmark: spec.Benchmark,
-			Label:     spec.Label,
-			Summary:   *ivSum,
-		})
-	}
-	if at != nil {
-		r.attribSums = append(r.attribSums, SpecAttribution{
-			Benchmark: spec.Benchmark,
-			Label:     spec.Label,
-			Summary:   *at,
-		})
-	}
-	if samp != nil {
-		r.samplingSums = append(r.samplingSums, SpecSampling{
-			Benchmark: spec.Benchmark,
-			Label:     spec.Label,
-			Summary:   *samp,
-		})
-	}
 	r.totalInsts += insts
 	r.cpuSeconds += end.Sub(start).Seconds()
 	if r.firstStart.IsZero() || start.Before(r.firstStart) {
@@ -320,9 +285,11 @@ func (r *Runner) Run(spec RunSpec) (Result, error) {
 }
 
 // RunContext executes one simulation under ctx: build core, warm up,
-// reset statistics, measure. Cancellation is polled every
-// ctxCheckChunk simulated instructions; an aborted run returns an
-// error wrapping ctx.Err() (test with errors.Is against
+// reset statistics, measure. A spec the run could not honour (a
+// sampling plan whose intervals overflow the window, sampling combined
+// with tracing or attribution) fails before warmup. Cancellation is
+// polled every ctxCheckChunk simulated instructions; an aborted run
+// returns an error wrapping ctx.Err() (test with errors.Is against
 // context.Canceled / context.DeadlineExceeded) and books nothing into
 // the runner's timing counters.
 func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
@@ -331,32 +298,29 @@ func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("sim: %s: %w", spec.Benchmark, err)
 	}
+	warm, meas := spec.windows()
+	var plan SamplePlan
+	if spec.Sample != nil {
+		plan = spec.Sample.Normalized(meas)
+		if err := spec.checkSampled(plan, meas); err != nil {
+			return Result{}, fmt.Errorf("sim: %s: %w", spec.Benchmark, err)
+		}
+	}
 	w, err := r.Workload(spec.Benchmark)
 	if err != nil {
 		return Result{}, err
 	}
-	warm, meas := spec.windows()
 	c, err := r.warmCore(ctx, spec, w, warm)
 	if err != nil {
 		return Result{}, err
 	}
-	if p := r.specPlan(spec); p != nil {
-		np := p.normalized(meas)
-		interval := spec.Interval
-		if interval == 0 {
-			interval = r.Interval
-		}
-		out, detail, err := r.runSampled(ctx, spec, c, np, meas, interval)
+	if spec.Sample != nil {
+		out, detail, err := r.runSampled(ctx, spec, c, plan, meas)
 		if err != nil {
 			return Result{}, err
 		}
-		var ivSum *metrics.Summary
-		if interval > 0 {
-			s := metrics.Summarize(interval, out.Intervals)
-			ivSum = &s
-		}
 		//skia:nondet-ok wall-clock closes the throughput window opened above; no simulated state depends on it
-		r.record(spec, warm+detail, start, time.Now(), ivSum, nil, out.Sampling)
+		r.record(spec, warm+detail, start, time.Now())
 		return out, nil
 	}
 	c.ResetStats()
@@ -365,20 +329,16 @@ func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	// The collector is private to this call — RunAll's workers never
 	// share one — so capture stays race-free; only record() touches
 	// runner state, under the mutex.
-	interval := spec.Interval
-	if interval == 0 {
-		interval = r.Interval
-	}
 	var col *metrics.Collector
-	if interval > 0 {
-		col = metrics.NewCollector(interval)
+	if spec.Interval > 0 {
+		col = metrics.NewCollector(spec.Interval)
 		c.AttachCollector(col)
 	}
 	if spec.Tracer != nil {
 		c.SetTracer(spec.Tracer)
 	}
 	var eng *attrib.Engine
-	if spec.Attrib || r.Attrib {
+	if spec.Attrib {
 		eng = attrib.NewEngine()
 		c.AttachAttribution(eng)
 	}
@@ -394,56 +354,20 @@ func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 			spec.Benchmark, res.FE.ForcedResyncs)
 	}
 	out := Result{Result: res, Label: spec.Label}
-	var ivSum *metrics.Summary
 	if col != nil {
 		col.Finish(c.Sample())
 		out.Intervals = col.Intervals()
-		s := col.Summary()
-		ivSum = &s
 	}
-	var atSum *attrib.Summary
 	if eng != nil {
 		s := eng.Summary()
-		atSum = &s
-		out.Attribution = atSum
+		out.Attribution = &s
 	}
-	if r.SampleEcho {
+	if spec.SampleEcho {
 		out.Sampling = exactEcho(&res, meas)
 	}
 	//skia:nondet-ok wall-clock closes the throughput window opened above; no simulated state depends on it
-	r.record(spec, warm+meas, start, time.Now(), ivSum, atSum, out.Sampling)
+	r.record(spec, warm+meas, start, time.Now())
 	return out, nil
-}
-
-// IntervalSummaries returns one summary per interval-collecting run so
-// far, sorted by benchmark then label (matching Stats().Specs order).
-func (r *Runner) IntervalSummaries() []SpecIntervals {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]SpecIntervals(nil), r.intervalSums...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
-}
-
-// AttributionSummaries returns one attribution summary per
-// attribution-enabled run so far, sorted by benchmark then label
-// (matching Stats().Specs order).
-func (r *Runner) AttributionSummaries() []SpecAttribution {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]SpecAttribution(nil), r.attribSums...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
 }
 
 // RunAll executes the specs concurrently (bounded by Workers) and

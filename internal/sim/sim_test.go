@@ -303,40 +303,6 @@ func TestRunIntervalLargerThanWindow(t *testing.T) {
 	}
 }
 
-// TestRunnerIntervalDefault: the runner-level knob enables collection
-// for specs that leave Interval zero, and summaries land in
-// IntervalSummaries sorted like Stats().Specs.
-func TestRunnerIntervalDefault(t *testing.T) {
-	r := NewRunner()
-	r.Interval = 50_000
-	if _, err := r.RunAll([]RunSpec{quickSpec("a", false), quickSpec("b", true)}); err != nil {
-		t.Fatal(err)
-	}
-	sums := r.IntervalSummaries()
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %+v", sums)
-	}
-	if sums[0].Label != "a" || sums[1].Label != "b" {
-		t.Errorf("summaries not sorted: %+v", sums)
-	}
-	for _, s := range sums {
-		if s.Benchmark != "noop" || s.Summary.Count == 0 || s.Summary.Instructions == 0 {
-			t.Errorf("empty summary: %+v", s)
-		}
-		if s.Summary.Every != 50_000 {
-			t.Errorf("every = %d", s.Summary.Every)
-		}
-	}
-	// Disabled runners collect nothing.
-	r2 := NewRunner()
-	if _, err := r2.Run(quickSpec("off", false)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.IntervalSummaries(); len(got) != 0 {
-		t.Errorf("intervals collected while disabled: %+v", got)
-	}
-}
-
 // TestRunTracerRecordsEvents: a per-spec tracer sees the measurement
 // window's re-steer and shadow-branch events.
 func TestRunTracerRecordsEvents(t *testing.T) {
@@ -374,12 +340,12 @@ func TestRunTracerRecordsEvents(t *testing.T) {
 func TestRunAllCollectorsRaceFree(t *testing.T) {
 	r := NewRunner()
 	r.Workers = 4
-	r.Interval = 30_000
 	var specs []RunSpec
 	tracers := make([]*metrics.RingTracer, 6)
 	for i := range tracers {
 		tracers[i] = metrics.NewRingTracer(1 << 12)
 		s := quickSpec("t"+strconv.Itoa(i), i%2 == 0)
+		s.Interval = 30_000
 		s.Tracer = tracers[i]
 		specs = append(specs, s)
 	}
@@ -391,9 +357,6 @@ func TestRunAllCollectorsRaceFree(t *testing.T) {
 		if len(res.Intervals) == 0 {
 			t.Errorf("spec %d collected no intervals", i)
 		}
-	}
-	if got := len(r.IntervalSummaries()); got != len(specs) {
-		t.Errorf("summaries = %d, want %d", got, len(specs))
 	}
 	if got := len(r.Stats().Specs); got != len(specs) {
 		t.Errorf("timings = %d, want %d", got, len(specs))
@@ -456,24 +419,17 @@ func TestAttributionConservation(t *testing.T) {
 					sbbHit, res.FE.SBBCoveredTotal())
 			}
 		}
-		if got := len(r.AttributionSummaries()); got != 1 {
-			t.Errorf("%s: AttributionSummaries = %d entries, want 1", label, got)
-		}
 	}
 }
 
 // TestAttributionDisabledByDefault guards the nil-checked fast path:
 // no engine, no summary.
 func TestAttributionDisabledByDefault(t *testing.T) {
-	r := NewRunner()
-	res, err := r.Run(quickSpec("plain", true))
+	res, err := NewRunner().Run(quickSpec("plain", true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Attribution != nil {
 		t.Error("Attribution non-nil without Attrib")
-	}
-	if len(r.AttributionSummaries()) != 0 {
-		t.Error("runner recorded attribution without Attrib")
 	}
 }

@@ -33,18 +33,15 @@ type Spec struct {
 	IntervalInstructions uint64 `json:"interval_instructions,omitempty"`
 	// Attrib records whether BTB-miss attribution was collected.
 	Attrib bool `json:"attrib,omitempty"`
-	// SampleIntervals, SampleIntervalInstructions,
-	// SampleMicroWarmupInstructions, and SampleWarmWindowInstructions
-	// are the normalized sampled-simulation plan, all zero for exact
-	// runs (a zero warm window means full-distance warming). These
-	// change the simulated numbers, so they key the archive. Knobs
+	// SampleIntervals, SampleIntervalInstructions, and
+	// SampleMicroWarmupInstructions are the normalized sampled-simulation
+	// plan, all zero for exact runs. These change the simulated numbers, so they key the archive. Knobs
 	// that provably do not change results — shard count, warmup
 	// checkpointing, worker count — are deliberately absent: a sharded
 	// and a serial run of the same plan share one trajectory.
 	SampleIntervals               int    `json:"sample_intervals,omitempty"`
 	SampleIntervalInstructions    uint64 `json:"sample_interval_instructions,omitempty"`
 	SampleMicroWarmupInstructions uint64 `json:"sample_micro_warmup_instructions,omitempty"`
-	SampleWarmWindowInstructions  uint64 `json:"sample_warm_window_instructions,omitempty"`
 	// SampleEcho records whether an exact run published reference
 	// sampling rows; like Attrib it changes the report's content (the
 	// `sampling` section), so the two must not share a trajectory.
@@ -73,7 +70,6 @@ func NewSpec(experiment string, o experiments.Options) Spec {
 		s.SampleIntervals = p.Intervals
 		s.SampleIntervalInstructions = p.IntervalInsts
 		s.SampleMicroWarmupInstructions = p.MicroWarmup
-		s.SampleWarmWindowInstructions = p.WarmWindow
 	} else {
 		s.SampleEcho = o.SampleEcho
 	}
@@ -110,7 +106,6 @@ func SpecOfReport(rep *experiments.Report) Spec {
 		SampleIntervals:               rep.Meta.SampleIntervals,
 		SampleIntervalInstructions:    rep.Meta.SampleIntervalInstructions,
 		SampleMicroWarmupInstructions: rep.Meta.SampleMicroWarmupInstructions,
-		SampleWarmWindowInstructions:  rep.Meta.SampleWarmWindowInstructions,
 	}
 	for _, row := range rep.Sampling {
 		if row.Summary.Exact {
