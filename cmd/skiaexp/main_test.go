@@ -80,38 +80,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunArchiveDedups pins the -archive path end to end: two runs
-// with identical options (written to different -out directories)
-// normalize to one spec and one content hash through NewSpec and the
-// report's volatile-field stripping, so the archive keeps exactly one
-// index line and the second run reports the dedup.
-func TestRunArchiveDedups(t *testing.T) {
-	arc := t.TempDir()
-	outs := make([]string, 2)
-	for i := range outs {
-		var out, errw bytes.Buffer
-		args := []string{"-exp", "fig14", "-benchmarks", "noop", "-warmup", "5000", "-measure", "20000",
-			"-archive", arc, "-out", filepath.Join(t.TempDir(), "r")}
-		if err := run(args, &out, &errw); err != nil {
-			t.Fatalf("run %d: %v (stderr %q)", i+1, err, errw.String())
-		}
-		outs[i] = out.String()
-	}
-	if !strings.Contains(outs[0], "archived fig14") || strings.Contains(outs[0], "already archived") {
-		t.Errorf("first run did not archive a new record: %q", outs[0])
-	}
-	if !strings.Contains(outs[1], "already archived (dedup)") {
-		t.Errorf("second run did not report the dedup: %q", outs[1])
-	}
-	index, err := os.ReadFile(filepath.Join(arc, "index.ndjson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(index), "\n"); n != 1 {
-		t.Errorf("index.ndjson has %d lines after two identical runs, want 1", n)
-	}
-}
-
 // TestExperimentsDocNamesRegisteredFlags keeps EXPERIMENTS.md honest
 // about skiaexp's sampling and observability flags: every backticked
 // -sample…, -checkpoint, -intervals or -attrib token must be a flag

@@ -1,6 +1,6 @@
 // Command skialint runs the simulator's invariant analyzers (detmap,
 // nondet, noalloc, conserve, statlock, clonecomplete, ctxwait,
-// atomicmix, hookpure, directive) over the module and exits non-zero
+// hookpure, directive) over the module and exits non-zero
 // if any finding survives. It is the static half of the
 // determinism/conservation story: the runtime half is the
 // skiainvariants build tag.

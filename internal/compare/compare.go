@@ -1,11 +1,12 @@
 // Package compare diffs two sets of JSON experiment reports (as
 // written by skiaexp -json -out) cell by cell: it pairs experiments by
-// ID, rows by their label cells, and columns by name, then checks
-// every numeric cell against configurable tolerances. Columns with the
-// "speedup" unit additionally get sign-flip detection — a speedup that
-// changes sign is a "who wins" shape regression regardless of its
-// magnitude. cmd/skiacmp is the CLI; its nonzero exit on Failed
-// results is the regression gate future performance PRs cite.
+// ID, rows by their label cells, and columns by name (repeated labels
+// and names by occurrence), then checks every numeric cell against
+// configurable tolerances. Columns with the "speedup" unit
+// additionally get sign-flip detection — a speedup that changes sign
+// is a "who wins" shape regression regardless of its magnitude.
+// cmd/skiacmp is the CLI and the repo's one result oracle: its
+// nonzero exit on Failed results is the regression gate.
 package compare
 
 import (
@@ -16,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/attrib"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -187,16 +189,9 @@ func LoadPath(path string) (map[string]*experiments.Report, error) {
 	return out, nil
 }
 
-// RowKey identifies a row by its label (string-kind) cells — the same
-// key Diff pairs rows with — exported so internal/store names a
-// trajectory metric "rowkey/column" exactly the way a diff finding
-// names a failing cell.
-func RowKey(row []stats.Cell) string { return rowKey(row) }
-
-// rowKey identifies a row by its label (string-kind) cells so rows
-// still pair up when row order shifts. Tables whose rows carry no
-// string cells fall back to positional pairing via the duplicate-key
-// occurrence index in pairRows.
+// rowKey joins a row's label (string-kind) cells so rows still pair
+// up when row order shifts. Tables whose rows carry no string cells
+// fall back to positional pairing through the occurrence index.
 func rowKey(row []stats.Cell) string {
 	var parts []string
 	for _, c := range row {
@@ -207,21 +202,77 @@ func rowKey(row []stats.Cell) string {
 	return strings.Join(parts, "/")
 }
 
-// pairRows indexes rows by key, disambiguating duplicates by
-// occurrence order.
-func pairRows(t *stats.Table) map[string][]stats.Cell {
-	counts := make(map[string]int)
-	out := make(map[string][]stats.Cell)
-	for i := 0; i < t.NumRows(); i++ {
-		row := t.Row(i)
-		k := rowKey(row)
-		if n := counts[k]; n > 0 {
-			k = fmt.Sprintf("%s#%d", k, n)
-		}
-		counts[rowKey(row)]++
-		out[k] = append([]stats.Cell(nil), row...)
+// occ names an element for pairing: its key plus its occurrence among
+// earlier elements with the same key. Keeping the two apart means a
+// repeated key never collides with another key that happens to read
+// like "key#n".
+type occ[K comparable] struct {
+	key K
+	n   int
+}
+
+func (o occ[K]) String() string {
+	if o.n == 0 {
+		return fmt.Sprint(o.key)
+	}
+	return fmt.Sprintf("%v#%d", o.key, o.n)
+}
+
+// occurrences names every element of xs by key and occurrence, in
+// order.
+func occurrences[T any, K comparable](xs []T, key func(T) K) []occ[K] {
+	counts := make(map[K]int)
+	out := make([]occ[K], len(xs))
+	for i, x := range xs {
+		k := key(x)
+		out[i] = occ[K]{k, counts[k]}
+		counts[k]++
 	}
 	return out
+}
+
+// pairing matches base elements to head elements that share their
+// occurrence name. Both sides are named the same way, so an element
+// always pairs with its own copy.
+type pairing[K comparable] struct {
+	base     []occ[K] // name of each base element
+	match    []int    // head index paired with base element i, or -1
+	headOnly []occ[K] // head elements no base element pairs with, in order
+}
+
+func pairBy[T any, K comparable](base, head []T, key func(T) K) pairing[K] {
+	headIDs := occurrences(head, key)
+	at := make(map[occ[K]]int, len(head))
+	for j, o := range headIDs {
+		at[o] = j
+	}
+	p := pairing[K]{base: occurrences(base, key), match: make([]int, len(base))}
+	paired := make(map[occ[K]]bool, len(base))
+	for i, o := range p.base {
+		j, ok := at[o]
+		if !ok {
+			j = -1
+		}
+		p.match[i] = j
+		paired[o] = true
+	}
+	for _, o := range headIDs {
+		if !paired[o] {
+			p.headOnly = append(p.headOnly, o)
+		}
+	}
+	return p
+}
+
+// specID names one entry of a per-spec envelope section the way table
+// rows are keyed: benchmark plus config label.
+type specID struct{ bench, label string }
+
+func (s specID) String() string {
+	if s.label == "" {
+		return s.bench
+	}
+	return s.bench + "/" + s.label
 }
 
 // Diff compares two report sets. base is the reference; regressions
@@ -265,49 +316,31 @@ func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 	}
 	id := base.ID
 	oldCols := base.Table.Columns()
-	newCols := head.Table.Columns()
-	newColIdx := make(map[string]int, len(newCols))
-	for i, c := range newCols {
-		newColIdx[c.Name] = i
+	cols := pairBy(oldCols, head.Table.Columns(), func(c stats.Column) string { return c.Name })
+	for ci, o := range cols.base {
+		if cols.match[ci] < 0 {
+			res.Mismatches = append(res.Mismatches,
+				fmt.Sprintf("%s: column %q missing from new results", id, o))
+		}
 	}
-	for _, c := range newCols {
-		found := false
-		for _, oc := range oldCols {
-			if oc.Name == c.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: column %q only in new results", id, c.Name))
-		}
+	for _, o := range cols.headOnly {
+		res.Warnings = append(res.Warnings,
+			fmt.Sprintf("%s: column %q only in new results", id, o))
 	}
 
-	newRows := pairRows(head.Table)
-	oldRowSeen := make(map[string]bool)
-	counts := make(map[string]int)
-	for i := 0; i < base.Table.NumRows(); i++ {
-		row := base.Table.Row(i)
-		key := rowKey(row)
-		if n := counts[key]; n > 0 {
-			key = fmt.Sprintf("%s#%d", key, n)
-		}
-		counts[rowKey(row)]++
-		oldRowSeen[key] = true
-		newRow, ok := newRows[key]
-		if !ok {
+	oldRows, newRows := tableRows(base.Table), tableRows(head.Table)
+	rows := pairBy(oldRows, newRows, rowKey)
+	for i, o := range rows.base {
+		key := o.String()
+		if rows.match[i] < 0 {
 			res.Mismatches = append(res.Mismatches,
 				fmt.Sprintf("%s: row [%s] missing from new results", id, key))
 			continue
 		}
+		row, newRow := oldRows[i], newRows[rows.match[i]]
 		for ci, col := range oldCols {
-			nj, ok := newColIdx[col.Name]
-			if !ok {
-				if i == 0 {
-					res.Mismatches = append(res.Mismatches,
-						fmt.Sprintf("%s: column %q missing from new results", id, col.Name))
-				}
+			nj := cols.match[ci]
+			if nj < 0 {
 				continue
 			}
 			a, b := row[ci], newRow[nj]
@@ -325,10 +358,8 @@ func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 		}
 	}
 	var newOnly []string
-	for key := range newRows {
-		if !oldRowSeen[key] {
-			newOnly = append(newOnly, key)
-		}
+	for _, o := range rows.headOnly {
+		newOnly = append(newOnly, o.String())
 	}
 	sort.Strings(newOnly)
 	for _, key := range newOnly {
@@ -340,57 +371,77 @@ func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 	diffSampling(res, base, head, opt)
 }
 
-// specKey identifies one spec's envelope section entry the way table
-// rows are keyed: benchmark plus config label.
-func specKey(bench, label string) string {
-	if label == "" {
-		return bench
+// tableRows returns every data row of t.
+func tableRows(t *stats.Table) [][]stats.Cell {
+	rows := make([][]stats.Cell, t.NumRows())
+	for i := range rows {
+		rows[i] = t.Row(i)
 	}
-	return bench + "/" + label
+	return rows
 }
+
+// pairSpecs pairs the entries of one per-spec envelope section by
+// specID and occurrence and calls diff on each pair. Base entries
+// missing from head fail; head-only entries warn. Sections absent on
+// both sides pair nothing, so older envelopes diff as before.
+func pairSpecs[T any](res *Result, id, section string, base, head []T,
+	spec func(T) specID, diff func(key string, b, h T)) {
+	p := pairBy(base, head, spec)
+	for i, o := range p.base {
+		if p.match[i] < 0 {
+			res.Mismatches = append(res.Mismatches,
+				fmt.Sprintf("%s: %s for [%s] missing from new results", id, section, o))
+			continue
+		}
+		diff(o.String(), base[i], head[p.match[i]])
+	}
+	for _, o := range p.headOnly {
+		res.Warnings = append(res.Warnings,
+			fmt.Sprintf("%s: %s for [%s] only in new results", id, section, o))
+	}
+}
+
+// pairNamed pairs two named lists inside one spec's section entry by
+// name and occurrence and calls diff on each pair; base names missing
+// from head fail.
+func pairNamed[T any](res *Result, id, key, what string, base, head []T,
+	name func(T) string, diff func(name string, b, h T)) {
+	p := pairBy(base, head, name)
+	for i, o := range p.base {
+		if p.match[i] < 0 {
+			res.Mismatches = append(res.Mismatches,
+				fmt.Sprintf("%s: [%s] %s %q missing from new results", id, key, what, o))
+			continue
+		}
+		diff(o.String(), base[i], head[p.match[i]])
+	}
+}
+
+func intervalsSpec(s sim.SpecIntervals) specID     { return specID{s.Benchmark, s.Label} }
+func attributionSpec(s sim.SpecAttribution) specID { return specID{s.Benchmark, s.Label} }
+func samplingSpec(s sim.SpecSampling) specID       { return specID{s.Benchmark, s.Label} }
+func metricName(m sim.MetricCI) string             { return m.Name }
 
 // diffIntervals compares the per-spec interval summaries carried in
 // the envelopes' optional `intervals` section (schema v2+): the
 // cycle-weighted IPC mean and the window-wide SBB coverage, each under
 // the (usually looser) IVRTol relative tolerance. Specs present in the
 // base but gone from the new set fail; additions — e.g. the new run
-// turned collection on — only warn. Reports without the section on
-// either side are skipped entirely, so v1 envelopes diff unchanged.
+// turned collection on — only warn.
 func diffIntervals(res *Result, base, head *experiments.Report, opt Options) {
-	if len(base.Intervals) == 0 && len(head.Intervals) == 0 {
-		return
-	}
 	id := base.ID
-	newByKey := make(map[string]sim.SpecIntervals, len(head.Intervals))
-	for _, iv := range head.Intervals {
-		newByKey[specKey(iv.Benchmark, iv.Label)] = iv
-	}
-	seen := make(map[string]bool, len(base.Intervals))
-	for _, b := range base.Intervals {
-		key := specKey(b.Benchmark, b.Label)
-		seen[key] = true
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: intervals for [%s] missing from new results", id, key))
-			continue
-		}
-		ivOpt := opt
-		ivOpt.RTol = opt.IVRTol
-		res.Compared += 2
-		checkCell(res, id, key,
-			stats.Column{Name: "intervals.ipc_mean", Unit: stats.UnitIPC},
-			b.Summary.IPCMean, h.Summary.IPCMean, ivOpt)
-		checkCell(res, id, key,
-			stats.Column{Name: "intervals.sbb_coverage"},
-			b.Summary.SBBCoverage, h.Summary.SBBCoverage, ivOpt)
-	}
-	for _, iv := range head.Intervals {
-		if key := specKey(iv.Benchmark, iv.Label); !seen[key] {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: intervals for [%s] only in new results", id, key))
-		}
-	}
+	ivOpt := opt
+	ivOpt.RTol = opt.IVRTol
+	pairSpecs(res, id, "intervals", base.Intervals, head.Intervals, intervalsSpec,
+		func(key string, b, h sim.SpecIntervals) {
+			res.Compared += 2
+			checkCell(res, id, key,
+				stats.Column{Name: "intervals.ipc_mean", Unit: stats.UnitIPC},
+				b.Summary.IPCMean, h.Summary.IPCMean, ivOpt)
+			checkCell(res, id, key,
+				stats.Column{Name: "intervals.sbb_coverage"},
+				b.Summary.SBBCoverage, h.Summary.SBBCoverage, ivOpt)
+		})
 }
 
 // diffAttribution compares the per-spec miss-attribution summaries in
@@ -399,62 +450,24 @@ func diffIntervals(res *Result, base, head *experiments.Report, opt Options) {
 // checked under the absolute AttribTol bound: attribution reports a
 // mix, so the question is "did any slice of the pie move more than N
 // points", independent of how rare the slice is. Missing specs fail;
-// additions warn; absent sections skip (older envelopes diff as
-// before).
+// additions warn.
 func diffAttribution(res *Result, base, head *experiments.Report, opt Options) {
-	if len(base.Attribution) == 0 && len(head.Attribution) == 0 {
-		return
-	}
 	id := base.ID
-	newByKey := make(map[string]sim.SpecAttribution, len(head.Attribution))
-	for _, at := range head.Attribution {
-		newByKey[specKey(at.Benchmark, at.Label)] = at
-	}
-	seen := make(map[string]bool, len(base.Attribution))
-	for _, b := range base.Attribution {
-		key := specKey(b.Benchmark, b.Label)
-		seen[key] = true
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: attribution for [%s] missing from new results", id, key))
-			continue
-		}
-		checkShare(res, id, key, "attrib.shadow_resident_share",
-			b.Summary.ShadowResidentShare, h.Summary.ShadowResidentShare, opt)
-		newCause := make(map[string]float64, len(h.Summary.Causes))
-		for _, c := range h.Summary.Causes {
-			newCause[c.Cause] = c.Share
-		}
-		for _, c := range b.Summary.Causes {
-			nv, ok := newCause[c.Cause]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] attribution cause %q missing from new results", id, key, c.Cause))
-				continue
-			}
-			checkShare(res, id, key, "attrib.cause."+c.Cause, c.Share, nv, opt)
-		}
-		newStall := make(map[string]float64, len(h.Summary.Stalls))
-		for _, s := range h.Summary.Stalls {
-			newStall[s.Kind] = s.Share
-		}
-		for _, s := range b.Summary.Stalls {
-			nv, ok := newStall[s.Kind]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] attribution stall %q missing from new results", id, key, s.Kind))
-				continue
-			}
-			checkShare(res, id, key, "attrib.stall."+s.Kind, s.Share, nv, opt)
-		}
-	}
-	for _, at := range head.Attribution {
-		if key := specKey(at.Benchmark, at.Label); !seen[key] {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: attribution for [%s] only in new results", id, key))
-		}
-	}
+	pairSpecs(res, id, "attribution", base.Attribution, head.Attribution, attributionSpec,
+		func(key string, b, h sim.SpecAttribution) {
+			checkShare(res, id, key, "attrib.shadow_resident_share",
+				b.Summary.ShadowResidentShare, h.Summary.ShadowResidentShare, opt)
+			pairNamed(res, id, key, "attribution cause", b.Summary.Causes, h.Summary.Causes,
+				func(c attrib.CauseCount) string { return c.Cause },
+				func(name string, bc, hc attrib.CauseCount) {
+					checkShare(res, id, key, "attrib.cause."+name, bc.Share, hc.Share, opt)
+				})
+			pairNamed(res, id, key, "attribution stall", b.Summary.Stalls, h.Summary.Stalls,
+				func(s attrib.StallCount) string { return s.Kind },
+				func(name string, bs, hs attrib.StallCount) {
+					checkShare(res, id, key, "attrib.stall."+name, bs.Share, hs.Share, opt)
+				})
+		})
 }
 
 // diffSampling compares the per-spec sampled-simulation summaries in
@@ -462,46 +475,18 @@ func diffAttribution(res *Result, base, head *experiments.Report, opt Options) {
 // regression gate: each metric's point estimate is checked under the
 // ordinary RTol/ATol rule, like a table cell. Confidence widths are
 // not diffed — they are a property of the interval spread, not a
-// result. Missing specs or metrics fail; additions warn; absent
-// sections skip (older envelopes diff as before).
+// result. Missing specs or metrics fail; additions warn.
 func diffSampling(res *Result, base, head *experiments.Report, opt Options) {
-	if len(base.Sampling) == 0 && len(head.Sampling) == 0 {
-		return
-	}
 	id := base.ID
-	newByKey := make(map[string]sim.SpecSampling, len(head.Sampling))
-	for _, s := range head.Sampling {
-		newByKey[specKey(s.Benchmark, s.Label)] = s
-	}
-	seen := make(map[string]bool, len(base.Sampling))
-	for _, b := range base.Sampling {
-		key := specKey(b.Benchmark, b.Label)
-		seen[key] = true
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: sampling for [%s] missing from new results", id, key))
-			continue
-		}
-		newMetric := metricsByName(h.Summary.Metrics)
-		for _, m := range b.Summary.Metrics {
-			nm, ok := newMetric[m.Name]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] sampled metric %q missing from new results", id, key, m.Name))
-				continue
-			}
-			res.Compared++
-			checkCell(res, id, key,
-				stats.Column{Name: "sampling." + m.Name}, m.Mean, nm.Mean, opt)
-		}
-	}
-	for _, s := range head.Sampling {
-		if key := specKey(s.Benchmark, s.Label); !seen[key] {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: sampling for [%s] only in new results", id, key))
-		}
-	}
+	pairSpecs(res, id, "sampling", base.Sampling, head.Sampling, samplingSpec,
+		func(key string, b, h sim.SpecSampling) {
+			pairNamed(res, id, key, "sampled metric", b.Summary.Metrics, h.Summary.Metrics, metricName,
+				func(name string, bm, hm sim.MetricCI) {
+					res.Compared++
+					checkCell(res, id, key,
+						stats.Column{Name: "sampling." + name}, bm.Mean, hm.Mean, opt)
+				})
+		})
 }
 
 // diffSampleCI validates a sampled result set against a reference
@@ -525,45 +510,20 @@ func diffSampleCI(res *Result, base, head *experiments.Report, opt Options) {
 			fmt.Sprintf("%s: sampled results have no sampling section (run with -sample)", id))
 		return
 	}
-	newByKey := make(map[string]sim.SpecSampling, len(head.Sampling))
-	for _, s := range head.Sampling {
-		newByKey[specKey(s.Benchmark, s.Label)] = s
-	}
-	for _, b := range base.Sampling {
-		key := specKey(b.Benchmark, b.Label)
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: sampling for [%s] missing from sampled results", id, key))
-			continue
-		}
-		newMetric := metricsByName(h.Summary.Metrics)
-		for _, m := range b.Summary.Metrics {
-			nm, ok := newMetric[m.Name]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] sampled metric %q missing", id, key, m.Name))
-				continue
-			}
-			res.Compared++
-			tol := nm.CI + m.CI + opt.SampleATol + opt.SampleRTol*math.Abs(m.Mean)
-			if math.Abs(nm.Mean-m.Mean) > tol {
-				res.Findings = append(res.Findings, Finding{
-					Experiment: id, Row: key, Column: "sampling." + m.Name + " (ci-gate)",
-					Old: m.Mean, New: nm.Mean, Rel: rel(m.Mean, nm.Mean),
+	pairSpecs(res, id, "sampling", base.Sampling, head.Sampling, samplingSpec,
+		func(key string, b, h sim.SpecSampling) {
+			pairNamed(res, id, key, "sampled metric", b.Summary.Metrics, h.Summary.Metrics, metricName,
+				func(name string, bm, hm sim.MetricCI) {
+					res.Compared++
+					tol := hm.CI + bm.CI + opt.SampleATol + opt.SampleRTol*math.Abs(bm.Mean)
+					if math.Abs(hm.Mean-bm.Mean) > tol {
+						res.Findings = append(res.Findings, Finding{
+							Experiment: id, Row: key, Column: "sampling." + name + " (ci-gate)",
+							Old: bm.Mean, New: hm.Mean, Rel: rel(bm.Mean, hm.Mean),
+						})
+					}
 				})
-			}
-		}
-	}
-}
-
-// metricsByName indexes a sampled metric list for pairing.
-func metricsByName(ms []sim.MetricCI) map[string]sim.MetricCI {
-	out := make(map[string]sim.MetricCI, len(ms))
-	for _, m := range ms {
-		out[m.Name] = m
-	}
-	return out
+		})
 }
 
 // checkShare applies the absolute AttribTol bound to one share pair.

@@ -180,6 +180,62 @@ func TestRowsPairByLabelNotPosition(t *testing.T) {
 	}
 }
 
+// mkLabelled builds a one-column speedup report whose rows carry the
+// given labels and values.
+func mkLabelled(labels []string, vals []float64) map[string]*experiments.Report {
+	tb := stats.NewTable("label", "v").SetUnits(stats.UnitNone, stats.UnitSpeedup)
+	for i, l := range labels {
+		tb.AddCells(stats.Str(l), stats.Num(vals[i], ""))
+	}
+	return map[string]*experiments.Report{"x": {ID: "x", Title: "t", Table: tb}}
+}
+
+// TestRepeatedLabelsPairByOccurrence: a repeated label is told apart by
+// its occurrence, not by a "#n" suffix on the label, so a real label
+// that reads "a#1" pairs with itself and not with the second "a".
+func TestRepeatedLabelsPairByOccurrence(t *testing.T) {
+	labels := []string{"a", "a", "a#1"}
+	base := mkLabelled(labels, []float64{1, 2, -3})
+	if res := Diff(base, mkLabelled(labels, []float64{1, 2, -3}), Options{}); res.Failed() {
+		t.Errorf("report diffed against itself failed:\n%s", res)
+	}
+	// A flip in the second "a" row is reported with that row's values.
+	res := Diff(base, mkLabelled(labels, []float64{1, -2, -3}), Options{})
+	if len(res.Findings) != 1 || len(res.Mismatches) != 0 {
+		t.Fatalf("want exactly one finding:\n%s", res)
+	}
+	if f := res.Findings[0]; !f.SignFlip || f.Old != 2 || f.New != -2 {
+		t.Errorf("finding = %+v, want the second a row flipping 2 -> -2", f)
+	}
+}
+
+// TestRepeatedKeysDiffCleanAgainstThemselves: repeated column names,
+// section specs whose "bench/label" spellings coincide, and repeated
+// metric names each pair with their own copy, so a report always
+// diffs clean against itself.
+func TestRepeatedKeysDiffCleanAgainstThemselves(t *testing.T) {
+	tb := stats.NewTable("label", "v", "v").
+		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitSpeedup)
+	tb.AddCells(stats.Str("a"), stats.Num(1, ""), stats.Num(-1, ""))
+	metric := func(mean float64) sim.SampleSummary {
+		return sim.SampleSummary{Metrics: []sim.MetricCI{{Name: "ipc", Mean: mean}, {Name: "ipc", Mean: 2 * mean}}}
+	}
+	rep := &experiments.Report{ID: "x", Title: "t", Table: tb,
+		Intervals: []sim.SpecIntervals{
+			{Benchmark: "a/b", Summary: metrics.Summary{IPCMean: 1}},
+			{Benchmark: "a", Label: "b", Summary: metrics.Summary{IPCMean: 2}},
+		},
+		Sampling: []sim.SpecSampling{
+			{Benchmark: "a", Summary: metric(1)},
+			{Benchmark: "a", Summary: metric(3)},
+		},
+	}
+	set := map[string]*experiments.Report{"x": rep}
+	if res := Diff(set, set, Options{}); res.Failed() || len(res.Warnings) != 0 {
+		t.Errorf("report diffed against itself failed:\n%s", res)
+	}
+}
+
 // TestV2ReportDiffsAgainstV1Golden writes the same table as a
 // hand-built schema-v1 file (with an unknown field, as an older tool
 // could have left behind) and as a current-schema report, and requires

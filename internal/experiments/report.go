@@ -27,9 +27,9 @@ import (
 //	    attribution.
 //	4 — adds meta.interval_instructions: the effective interval-metrics
 //	    collection window, recorded so a report's simulation-affecting
-//	    spec (internal/store.SpecOfReport) is fully recoverable from
-//	    the envelope alone. Purely additive: older reports decode as
-//	    v4 reports with a zero (collection off) interval.
+//	    spec is fully recoverable from the envelope alone. Purely
+//	    additive: older reports decode as v4 reports with a zero
+//	    (collection off) interval.
 //	5 — adds the optional `sampling` section (per-spec sampled-
 //	    simulation summaries: metric point estimates with 95%
 //	    confidence intervals, interval/skip accounting) and the
@@ -63,15 +63,15 @@ type RunMeta struct {
 	// (Options.Interval): one interval row per this many retired
 	// instructions, 0 when collection was off. Schema v4; recorded so
 	// the run's simulation-affecting spec is recoverable from the
-	// envelope (internal/store keys its archive on it).
+	// envelope.
 	IntervalInstructions uint64 `json:"interval_instructions,omitempty"`
 	// SampleIntervals, SampleIntervalInstructions, and
 	// SampleMicroWarmupInstructions are the effective sampled-simulation
 	// plan (Options.Sample, defaults resolved): K detail intervals of
 	// this many instructions each, preceded by this much detail
 	// re-warmup. All zero when the run was exact. These change the
-	// simulated result, so they are part of the recoverable spec
-	// (internal/store.SpecOfReport). Schema v5.
+	// simulated result, so they are part of the recoverable spec.
+	// Schema v5.
 	SampleIntervals               int    `json:"sample_intervals,omitempty"`
 	SampleIntervalInstructions    uint64 `json:"sample_interval_instructions,omitempty"`
 	SampleMicroWarmupInstructions uint64 `json:"sample_micro_warmup_instructions,omitempty"`

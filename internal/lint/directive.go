@@ -15,15 +15,14 @@ import (
 //
 // The grammar (also tabulated in the README):
 //
-//	//skia:noalloc                      marker, no argument
-//	//skia:serial                       marker, no argument
-//	//skia:detmap-ok <justification>    suppression, justification required
-//	//skia:nondet-ok <justification>    suppression, justification required
-//	//skia:statlock-ok <justification>  suppression, justification required
-//	//skia:shared-ok <justification>    suppression, justification required
-//	//skia:ctxwait-ok <justification>   suppression, justification required
-//	//skia:atomicmix-ok <justification> suppression, justification required
-//	//skia:hookpure-ok <justification>  suppression, justification required
+//	//skia:noalloc                     marker, no argument
+//	//skia:serial                      marker, no argument
+//	//skia:detmap-ok <justification>   suppression, justification required
+//	//skia:nondet-ok <justification>   suppression, justification required
+//	//skia:statlock-ok <justification> suppression, justification required
+//	//skia:shared-ok <justification>   suppression, justification required
+//	//skia:ctxwait-ok <justification>  suppression, justification required
+//	//skia:hookpure-ok <justification> suppression, justification required
 //
 // Only comments beginning exactly `//skia:` (no space, the Go
 // directive convention) are directives; prose mentioning a directive
@@ -37,15 +36,14 @@ var DirectiveAnalyzer = &Analyzer{
 // skiaDirectives maps each known directive name to whether it requires
 // a justification argument.
 var skiaDirectives = map[string]bool{
-	"noalloc":      false,
-	"serial":       false,
-	"detmap-ok":    true,
-	"nondet-ok":    true,
-	"statlock-ok":  true,
-	"shared-ok":    true,
-	"ctxwait-ok":   true,
-	"atomicmix-ok": true,
-	"hookpure-ok":  true,
+	"noalloc":     false,
+	"serial":      false,
+	"detmap-ok":   true,
+	"nondet-ok":   true,
+	"statlock-ok": true,
+	"shared-ok":   true,
+	"ctxwait-ok":  true,
+	"hookpure-ok": true,
 }
 
 func runDirective(pass *Pass) error {

@@ -51,12 +51,6 @@
 //	    or send provably cannot outlive its receiver. A justification
 //	    is required.
 //
-//	//skia:atomicmix-ok <justification>
-//	    On a plain access to a variable elsewhere accessed via
-//	    sync/atomic: the access is ordered by other means (pre-
-//	    publication init, lock covering all writers). A justification
-//	    is required.
-//
 //	//skia:hookpure-ok <justification>
 //	    On an unguarded On* hook call or a captured-state write inside
 //	    a hook body: the hook is proven non-nil or the target never
@@ -144,10 +138,10 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns the full suite in reporting order. The second
-// generation (clonecomplete, ctxwait, atomicmix, hookpure, directive)
-// statically enforces the invariants the sampling layer introduced
-// dynamically: checkpoint clone completeness, goroutine
-// cancellation discipline, atomics consistency, and hook purity.
+// generation (clonecomplete, ctxwait, hookpure, directive) statically
+// enforces the invariants the sampling layer introduced dynamically:
+// checkpoint clone completeness, goroutine cancellation discipline,
+// and hook purity.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetMapAnalyzer,
@@ -157,7 +151,6 @@ func Analyzers() []*Analyzer {
 		StatLockAnalyzer,
 		CloneCompleteAnalyzer,
 		CtxWaitAnalyzer,
-		AtomicMixAnalyzer,
 		HookPureAnalyzer,
 		DirectiveAnalyzer,
 	}

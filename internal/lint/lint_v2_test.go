@@ -15,11 +15,6 @@ func TestCtxWaitFixtures(t *testing.T) {
 	runFixture(t, CtxWaitAnalyzer, "ctxwait/good")
 }
 
-func TestAtomicMixFixtures(t *testing.T) {
-	runFixture(t, AtomicMixAnalyzer, "atomicmix/bad")
-	runFixture(t, AtomicMixAnalyzer, "atomicmix/good")
-}
-
 func TestHookPureFixtures(t *testing.T) {
 	runFixture(t, HookPureAnalyzer, "hookpure/bad")
 	runFixture(t, HookPureAnalyzer, "hookpure/good")

@@ -537,14 +537,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min and Max return the exact observed extremes (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the exact maximum observed sample (0 when empty).
 func (h *Histogram) Max() float64 {
 	if h.count == 0 {
