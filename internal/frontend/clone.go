@@ -18,9 +18,10 @@ import (
 // primitive interval sampling splices detail windows with.
 
 // cloneBlock deep-copies one FTQ block: everything is a value except
-// the Conds slice, whose backing array is owned by exactly one block
-// at a time (see putConds) and so must not be shared across cores.
-func cloneBlock(b Block) Block {
+// the Conds slice, whose backing array belongs to one FTQ slot and so
+// must not be shared across cores.
+func cloneBlock(src *Block) Block {
+	b := *src
 	if b.Conds != nil {
 		conds := make([]CondRec, len(b.Conds))
 		copy(conds, b.Conds)
@@ -62,8 +63,6 @@ func (f *FrontEnd) Clone() *FrontEnd {
 		redir:        f.redir,
 		hasRedir:     f.hasRedir,
 
-		cur:        cloneBlock(f.cur),
-		hasCur:     f.hasCur,
 		curPC:      f.curPC,
 		idleStreak: f.idleStreak,
 		pending:    f.pending,
@@ -72,6 +71,11 @@ func (f *FrontEnd) Clone() *FrontEnd {
 		err:        f.err,
 
 		stats: f.stats,
+	}
+	// The block in decode is the FTQ head: point at the clone's own
+	// head slot, never at the original's.
+	if f.cur != nil {
+		n.cur = n.q.Front()
 	}
 	if f.sbdTasks != nil {
 		n.sbdTasks = make([]sbdTask, len(f.sbdTasks))
@@ -121,7 +125,6 @@ func (f *FrontEnd) Clone() *FrontEnd {
 func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	// Squash all in-flight speculative state.
 	f.flushFTQ()
-	f.clearCur()
 	f.hasRedir = false
 	f.iagStallTill = 0
 	f.idleStreak = 0

@@ -19,16 +19,10 @@ import (
 	"repro/internal/workload"
 )
 
-// LineFetch records one cache line covered by a block and whether it
-// was already L1-I resident when the block's prefetch was issued.
-type LineFetch struct {
-	Addr        uint64
-	WasResident bool
-}
-
-// maxBlockLineSpan bounds Block's inline line-fetch storage. A block
-// covers at most Config.MaxBlockLines lines plus one for a terminator
-// whose fall-through straddles into the next line.
+// maxBlockLineSpan bounds the lines one block covers (and so the width
+// of Block.Resident). A block covers at most Config.MaxBlockLines lines
+// plus one for a terminator whose fall-through straddles into the next
+// line.
 const maxBlockLineSpan = 8
 
 // CondRec is a conditional branch inside a block that the IAG predicted
@@ -38,7 +32,9 @@ type CondRec struct {
 	Pred tage.Prediction
 }
 
-// Block is one FTQ entry: a predicted basic block.
+// Block is one FTQ entry: a predicted basic block. Blocks live in the
+// FTQ's ring slots: the IAG fills a slot in place and decode reads it in
+// place, so a block is never copied on the hot path.
 type Block struct {
 	// Start and End delimit the block's bytes [Start, End).
 	Start, End uint64
@@ -60,17 +56,18 @@ type Block struct {
 	WrongPath bool
 	// ReadyAt is the cycle the block's bytes are available to decode.
 	ReadyAt uint64
-	// Lines and NLines list covered cache lines with
-	// residency-at-prefetch. Storage is inline: a block spans at most
-	// MaxBlockLines lines plus one more when a straddling terminator's
-	// fall-through crosses a line boundary, so a small fixed array
-	// removes a per-block heap allocation from the IAG loop (New
-	// validates the configured span fits).
-	Lines  [maxBlockLineSpan]LineFetch
-	NLines int
+	// FirstLine and NLines give the covered cache lines, which are
+	// consecutive by construction: FirstLine, FirstLine+LineSize, ...
+	// Bit i of Resident records whether line i was already L1-I
+	// resident when the block's prefetch was issued. A block spans at
+	// most maxBlockLineSpan lines (New validates the configured span
+	// fits), so the mask fits a byte.
+	FirstLine uint64
+	NLines    uint8
+	Resident  uint8
 	// Conds lists predicted-not-taken conditionals inside the block. The
-	// backing array is recycled through the front-end's condPool when
-	// the block dies.
+	// backing array belongs to the FTQ slot and is reused each time the
+	// slot is refilled.
 	Conds []CondRec
 	// TermCond is the TAGE bookkeeping for a conditional terminator.
 	TermCond tage.Prediction
@@ -118,6 +115,9 @@ type FrontEnd struct {
 	sbd *core.SBD
 	sbb *core.SBB
 
+	// q holds FTQDepth+1 slots: the FTQDepth queued blocks plus the
+	// block in decode, which keeps the head slot until clearCur drops
+	// it. FTQ occupancy (ftqLen) does not count that block.
 	q        *ftq.Queue[Block]
 	specPC   uint64
 	entryTgt bool // next block starts at a branch target
@@ -127,12 +127,11 @@ type FrontEnd struct {
 	redir        redirect
 	hasRedir     bool
 
-	// cur/hasCur and pending/hasPending are value slots, not pointers:
-	// storing &local in a struct field forces the local to escape, which
-	// used to heap-allocate once per decoded block and once per executed
-	// instruction.
-	cur        Block
-	hasCur     bool
+	// cur, when non-nil, is the block in decode: it points at q's head
+	// slot. pending/hasPending is a value slot, not a pointer: storing
+	// &local in a struct field forces the local to escape, which used to
+	// heap-allocate once per executed instruction.
+	cur        *Block
 	curPC      uint64
 	idleStreak uint64
 	pending    emu.Step
@@ -148,9 +147,6 @@ type FrontEnd struct {
 	// ablation there is no SBB to key off; the map then grows to the set
 	// of distinct shadow-decoded PCs, which the program size bounds.)
 	extraOffs map[uint64]uint64
-	// condPool recycles Conds backing arrays across dead blocks.
-	//skia:shared-ok allocation-recycling pool: a clone starting empty re-allocates on first use, results are unaffected
-	condPool [][]CondRec
 	// tr, when non-nil, observes re-steers, misses, and shadow-decode
 	// events; every emission site nil-checks it so a disabled trace
 	// costs one comparison per event.
@@ -170,6 +166,12 @@ type FrontEnd struct {
 func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 	if cfg.MaxBlockLines+1 > maxBlockLineSpan {
 		return nil, fmt.Errorf("frontend: MaxBlockLines %d exceeds the supported span of %d lines", cfg.MaxBlockLines, maxBlockLineSpan-1)
+	}
+	if err := cfg.TAGE.Validate(); err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
+	}
+	if err := cfg.ITTAGE.Validate(); err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
 	}
 	l1i, err := cache.New(cfg.L1ISize, cfg.L1IWays, program.LineSize)
 	if err != nil {
@@ -193,7 +195,7 @@ func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 		tg:        tage.New(cfg.TAGE),
 		it:        ittage.New(cfg.ITTAGE),
 		rs:        ras.New(cfg.RASDepth),
-		q:         ftq.New[Block](cfg.FTQDepth),
+		q:         ftq.New[Block](max(cfg.FTQDepth, 1) + 1),
 		specPC:    w.Prog.Entry,
 		entryTgt:  true,
 		extraOffs: make(map[uint64]uint64),
@@ -221,6 +223,11 @@ func (f *FrontEnd) Err() error { return f.err }
 
 // Cycle returns the current cycle number.
 func (f *FrontEnd) Cycle() uint64 { return f.cycle }
+
+// InFlight reports the in-flight state a checkpoint taken now must
+// carry: whether a block is in decode (holding the FTQ head slot) and
+// whether a re-steer is pending.
+func (f *FrontEnd) InFlight() (inDecode, resteer bool) { return f.cur != nil, f.hasRedir }
 
 // Stats returns a copy of the accumulated statistics.
 func (f *FrontEnd) Stats() Stats { return f.stats }
@@ -356,47 +363,32 @@ func (f *FrontEnd) peek() (emu.Step, bool) {
 // consume advances past the peeked step.
 func (f *FrontEnd) consume() { f.hasPending = false }
 
-// getConds hands out a recycled Conds backing array (nil when the pool
-// is empty; append grows it as before).
-func (f *FrontEnd) getConds() []CondRec {
-	if n := len(f.condPool); n > 0 {
-		s := f.condPool[n-1]
-		f.condPool = f.condPool[:n-1]
-		return s
+// ftqLen is the FTQ occupancy: the queued blocks, not counting the
+// block in decode that still holds the head slot.
+func (f *FrontEnd) ftqLen() int {
+	if f.cur != nil {
+		return f.q.Len() - 1
 	}
-	return nil
+	return f.q.Len()
 }
 
-// putConds returns a dead block's Conds storage to the pool. Each
-// backing array has exactly one owner at any time (local in formBlock,
-// then the FTQ slot, then f.cur), so recycle sites never double-free.
-func (f *FrontEnd) putConds(s []CondRec) {
-	if cap(s) > 0 {
-		f.condPool = append(f.condPool, s[:0])
-	}
-}
-
-// clearCur retires the current block, recycling its Conds storage. The
-// rest of f.cur is left intact: verification paths keep reading block
-// fields (never Conds) through a pointer after clearing it.
+// clearCur retires the current block by dropping its head slot. The
+// slot keeps its contents until the IAG refills it on a later cycle, so
+// verification paths may keep reading the block through a pointer
+// taken before the clear.
 func (f *FrontEnd) clearCur() {
-	if !f.hasCur {
+	if f.cur == nil {
 		return
 	}
-	f.putConds(f.cur.Conds)
-	f.cur.Conds = nil
-	f.hasCur = false
+	f.q.Drop()
+	f.cur = nil
 }
 
-// flushFTQ squashes the queue, recycling every queued block's Conds
-// storage first.
+// flushFTQ squashes the queue, the block in decode included. Slots are
+// not zeroed; each keeps its Conds storage for reuse.
 func (f *FrontEnd) flushFTQ() {
-	for i := 0; i < f.q.Len(); i++ {
-		if b, ok := f.q.At(i); ok {
-			f.putConds(b.Conds)
-		}
-	}
-	f.q.Flush()
+	f.cur = nil
+	f.q.Reset()
 }
 
 // pruneShadowOff clears pc's probe-candidate bit once its SBB entry is
@@ -437,8 +429,8 @@ func (f *FrontEnd) Step(maxDecode int) int {
 
 	// 2. IAG: form predicted blocks into the FTQ.
 	if f.cycle >= f.iagStallTill {
-		for i := 0; i < 2 && !f.q.Full(); i++ {
-			f.q.Push(f.formBlock())
+		for i := 0; i < 2 && f.ftqLen() < f.q.Cap()-1; i++ {
+			f.formBlock(f.q.Alloc())
 		}
 	}
 
@@ -447,7 +439,7 @@ func (f *FrontEnd) Step(maxDecode int) int {
 
 	// Sample end-of-cycle FTQ occupancy for the distribution stats.
 	if f.at != nil {
-		f.at.NoteCycle(f.q.Len())
+		f.at.NoteCycle(f.ftqLen())
 	}
 
 	// Safety valve: if the decoder has been starved for implausibly
@@ -484,7 +476,6 @@ func (f *FrontEnd) scheduleRedirect(pc uint64, kind redirectKind, cause attrib.S
 		f.stats.DecodeResteers++
 		f.emit(metrics.EvDecodeResteer, pc, 0)
 		f.flushFTQ()
-		f.clearCur()
 		f.specPC = pc
 		f.entryTgt = true
 		f.rs.LoadFrom(f.em.Stack())
@@ -507,7 +498,6 @@ func (f *FrontEnd) applyRedirect() {
 	f.hasRedir = false
 	if r.kind == redirectExec {
 		f.flushFTQ()
-		f.clearCur()
 		f.specPC = r.pc
 		f.entryTgt = true
 		f.rs.LoadFrom(f.em.Stack())
@@ -531,18 +521,21 @@ func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 	return m
 }
 
-// formBlock builds the next predicted basic block from specPC,
-// consulting BTB, SBB, TAGE, ITTAGE and RAS, issues its prefetches, and
-// schedules shadow decodes.
+// formBlock builds the next predicted basic block from specPC into the
+// FTQ slot blk, consulting BTB, SBB, TAGE, ITTAGE and RAS, issues its
+// prefetches, and schedules shadow decodes. Every field of the slot is
+// overwritten except the Conds backing array, which is reused.
 //
 //skia:noalloc
-func (f *FrontEnd) formBlock() Block {
-	blk := Block{
-		Start:         f.specPC,
-		EntryIsTarget: f.entryTgt,
-		WrongPath:     f.hasRedir,
-		Conds:         f.getConds(),
-	}
+func (f *FrontEnd) formBlock(blk *Block) {
+	// Zero, then assign: a composite literal stored through a pointer
+	// is built in a temporary and copied into the slot.
+	conds := blk.Conds[:0]
+	*blk = Block{}
+	blk.Start = f.specPC
+	blk.EntryIsTarget = f.entryTgt
+	blk.WrongPath = f.hasRedir
+	blk.Conds = conds
 	pos := f.specPC
 
 scan:
@@ -554,7 +547,7 @@ scan:
 				continue
 			}
 			if e, ok := f.btb.Lookup(pc); ok {
-				if f.terminateViaBTB(&blk, pc, e) {
+				if f.terminateViaBTB(blk, pc, e) {
 					break scan
 				}
 				// Predicted not-taken conditional: continue past it.
@@ -628,6 +621,7 @@ scan:
 		last = first + (maxBlockLineSpan-1)*program.LineSize
 	}
 	fillLat := 0
+	blk.FirstLine = first
 	for la := first; la <= last; la += program.LineSize {
 		resident := f.l1i.Prefetch(la)
 		if !resident {
@@ -642,7 +636,9 @@ scan:
 				fillLat = lat
 			}
 		}
-		blk.Lines[blk.NLines] = LineFetch{Addr: la, WasResident: resident}
+		if resident {
+			blk.Resident |= 1 << blk.NLines
+		}
 		blk.NLines++
 	}
 	blk.ReadyAt = f.cycle + uint64(f.cfg.FetchLatency) + uint64(fillLat)
@@ -701,7 +697,6 @@ scan:
 	// Advance the speculative PC.
 	f.specPC = blk.Target
 	f.entryTgt = blk.TakenPred
-	return blk
 }
 
 // terminateViaBTB handles a BTB hit during the scan. It returns true
@@ -825,12 +820,11 @@ func (f *FrontEnd) noteSBBInsert(sb core.ShadowBranch) {
 // when blk was formed.
 func lineResidency(blk *Block, pc uint64) bool {
 	la := program.LineAddr(pc)
-	for _, lf := range blk.Lines[:blk.NLines] {
-		if lf.Addr == la {
-			return lf.WasResident
-		}
+	if la < blk.FirstLine {
+		return false
 	}
-	return false
+	i := (la - blk.FirstLine) / program.LineSize
+	return i < uint64(blk.NLines) && blk.Resident>>i&1 != 0
 }
 
 // countBTBMiss records a taken branch the BTB failed to identify.
@@ -903,20 +897,21 @@ func (f *FrontEnd) decode(max int) int {
 			idle(f.redir.cause)
 			return delivered
 		}
-		if !f.hasCur {
-			head, ok := f.q.Peek()
-			if !ok {
+		if f.cur == nil {
+			// The head slot becomes the block in decode in place; it is
+			// dropped when the block retires (clearCur) or is discarded.
+			blk := f.q.Front()
+			if blk == nil {
 				idle(attrib.StallFTQEmpty)
 				return delivered
 			}
-			if head.ReadyAt > f.cycle {
-				idle(fetchStall(&head))
+			if blk.ReadyAt > f.cycle {
+				idle(fetchStall(blk))
 				return delivered
 			}
-			blk, _ := f.q.Pop()
 			st, ok := f.peek()
 			if !ok {
-				f.putConds(blk.Conds)
+				f.q.Drop()
 				return delivered
 			}
 			// Accept the block if the next true instruction lies inside
@@ -927,21 +922,19 @@ func (f *FrontEnd) decode(max int) int {
 			switch {
 			case pc < blk.Start:
 				// Stale block from before a squash; drop it.
-				f.putConds(blk.Conds)
+				f.q.Drop()
 				continue
 			case blk.TakenPred && pc > blk.BranchPC:
 				// The straddling instruction swallowed the predicted
 				// terminator: the terminator entry is bogus.
 				f.cur = blk
-				f.hasCur = true
 				f.phantom(pc)
 				continue
 			case !blk.TakenPred && pc >= blk.End:
-				f.putConds(blk.Conds)
+				f.q.Drop()
 				continue
 			}
 			f.cur = blk
-			f.hasCur = true
 			f.curPC = pc
 		}
 		st, ok := f.peek()
@@ -987,10 +980,8 @@ func (f *FrontEnd) decode(max int) int {
 // fill if any covered line missed the L1-I, otherwise riding the fixed
 // fetch pipeline.
 func fetchStall(blk *Block) attrib.StallKind {
-	for _, lf := range blk.Lines[:blk.NLines] {
-		if !lf.WasResident {
-			return attrib.StallICacheMiss
-		}
+	if uint(blk.Resident) != 1<<blk.NLines-1 {
+		return attrib.StallICacheMiss
 	}
 	return attrib.StallFetchLatency
 }
@@ -1018,7 +1009,7 @@ func (f *FrontEnd) phantom(truePC uint64) {
 // verifyTerminator checks the true outcome of the block's predicted
 // terminator and ends, re-steers, or trains accordingly.
 func (f *FrontEnd) verifyTerminator(st emu.Step) {
-	blk := &f.cur
+	blk := f.cur
 	in := st.Inst
 
 	// The terminator PC is a true boundary; the provider entry is only
@@ -1123,7 +1114,7 @@ func (f *FrontEnd) verifyTerminator(st emu.Step) {
 // verifyMidBlock checks an instruction the IAG predicted to be
 // non-terminating (sequential, or a not-taken conditional).
 func (f *FrontEnd) verifyMidBlock(st emu.Step) {
-	blk := &f.cur
+	blk := f.cur
 	in := st.Inst
 
 	// Train recorded not-taken conditional predictions.

@@ -2,8 +2,10 @@ package frontend
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 
+	"repro/internal/attrib"
 	"repro/internal/emu"
 	"repro/internal/workload"
 )
@@ -391,5 +393,73 @@ func TestShadowCondExtension(t *testing.T) {
 	}
 	if s.SBDInserts == 0 || s.SBBCoveredTotal() == 0 {
 		t.Error("extension run shows no SBB activity")
+	}
+}
+
+// TestRejectsOversizedPredictorGeometry checks New refuses TAGE and
+// ITTAGE geometry whose table count, index width or tag width the
+// predictors' 16-entry, 16-bit Prediction metadata cannot hold, and
+// accepts the largest geometry that fits.
+func TestRejectsOversizedPredictorGeometry(t *testing.T) {
+	w := testWorkload(t, nil)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		err  string // substring of the expected error; "" = accepted
+	}{
+		{"tage-tables", func(c *Config) { c.TAGE.NumTables = 17 }, "tage: NumTables 17"},
+		{"tage-index", func(c *Config) { c.TAGE.LogTagged = 17 }, "tage: LogTagged 17"},
+		{"tage-tag", func(c *Config) { c.TAGE.TagBits = 17 }, "tage: TagBits 17"},
+		{"ittage-tables", func(c *Config) { c.ITTAGE.NumTables = 17 }, "ittage: NumTables 17"},
+		{"ittage-index", func(c *Config) { c.ITTAGE.LogTagged = 17 }, "ittage: LogTagged 17"},
+		{"ittage-tag", func(c *Config) { c.ITTAGE.TagBits = 17 }, "ittage: TagBits 17"},
+		{"at-limit", func(c *Config) {
+			c.TAGE.NumTables, c.TAGE.TagBits = 16, 16
+			c.ITTAGE.NumTables, c.ITTAGE.TagBits = 16, 16
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg(true)
+			tc.mut(&cfg)
+			f, err := New(cfg, w)
+			if tc.err == "" {
+				if err != nil {
+					t.Fatalf("geometry at the limit rejected: %v", err)
+				}
+				drive(t, f, 20_000)
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("New error = %v, want one containing %q", err, tc.err)
+			}
+		})
+	}
+}
+
+// TestFTQOccupancyExcludesDecodeBlock pins what FTQ occupancy means
+// now that the block in decode keeps its ring slot: on a run where the
+// IAG outpaces decode, the sampled occupancy must reach FTQDepth and
+// never exceed it. An off-by-one in the FTQDepth+1 ring would let the
+// IAG run one block further ahead (or one short) and shift every IPC.
+func TestFTQOccupancyExcludesDecodeBlock(t *testing.T) {
+	w := testWorkload(t, nil)
+	cfg := smallCfg(true)
+	f, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := attrib.NewEngine()
+	f.SetAttribution(e)
+	// One instruction per cycle keeps decode far behind the IAG's two
+	// blocks per cycle, so the queue sits full most of the run.
+	for i := 0; i < 100_000 && !f.Done(); i++ {
+		f.Step(1)
+	}
+	occ := e.Summary().FTQOccupancy
+	if occ.Count == 0 {
+		t.Fatal("no occupancy samples")
+	}
+	if occ.Max != float64(cfg.FTQDepth) {
+		t.Errorf("FTQ occupancy max = %v, want exactly FTQDepth %d", occ.Max, cfg.FTQDepth)
 	}
 }

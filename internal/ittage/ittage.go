@@ -4,13 +4,17 @@
 // partially-tagged tables indexed by geometrically longer global path
 // history; entries store full targets plus a confidence counter.
 //
-// The front-end pushes one path-history bit per executed taken branch
-// via PushHistory, so the predictor can distinguish target rotations by
-// the control-flow path (and by its own previous targets, whose bits
-// enter the same history). Wrong-path lookups use Predict only.
+// The front-end pushes two path-history bits per taken branch, so the
+// predictor can distinguish target rotations by the control-flow path
+// (and by its own previous targets, whose bits enter the same history):
+// SpecPush at prediction time with the predicted target, ArchPush at
+// decode with the true one. Wrong-path lookups use Predict only.
 package ittage
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -24,6 +28,27 @@ type Config struct {
 	TagBits int
 	// MinHist and MaxHist bound the geometric history lengths.
 	MinHist, MaxHist int
+}
+
+// maxTables bounds Config.NumTables, and maxIndexBits bounds
+// Config.LogTagged and Config.TagBits: a Prediction records one table
+// index and one tag per tagged table in fixed [maxTables]uint16 arrays.
+const (
+	maxTables    = 16
+	maxIndexBits = 16
+)
+
+// Validate reports geometry the compact Prediction metadata cannot hold.
+func (c Config) Validate() error {
+	switch {
+	case c.NumTables > maxTables:
+		return fmt.Errorf("ittage: NumTables %d exceeds %d", c.NumTables, maxTables)
+	case c.LogTagged > maxIndexBits:
+		return fmt.Errorf("ittage: LogTagged %d exceeds %d bits", c.LogTagged, maxIndexBits)
+	case c.TagBits > maxIndexBits:
+		return fmt.Errorf("ittage: TagBits %d exceeds %d bits", c.TagBits, maxIndexBits)
+	}
+	return nil
 }
 
 // DefaultConfig approximates the paper's 64KB ITTAGE budget.
@@ -141,6 +166,9 @@ func (h *histState) copyFrom(src *histState) {
 }
 
 // Prediction carries provider bookkeeping from Predict to Update.
+// Indices and tags are stored in 16 bits (Config.Validate bounds both
+// widths), which keeps a Prediction at 96 bytes: the front-end carries
+// one in every FTQ block.
 type Prediction struct {
 	// Target is the predicted target, 0 when no prediction exists.
 	Target uint64
@@ -148,8 +176,8 @@ type Prediction struct {
 	Valid bool
 
 	provider int // -1 = base
-	indices  [16]uint32
-	tags     [16]uint32
+	indices  [maxTables]uint16
+	tags     [maxTables]uint16
 	baseIdx  uint32
 }
 
@@ -244,12 +272,12 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 	pr := Prediction{provider: -1}
 	pr.baseIdx = uint32(pc>>1) & (uint32(1<<p.cfg.LogBase) - 1)
 	for i := p.cfg.NumTables - 1; i >= 0; i-- {
-		pr.indices[i] = p.index(i, pc)
-		pr.tags[i] = p.tag(i, pc)
+		pr.indices[i] = uint16(p.index(i, pc))
+		pr.tags[i] = uint16(p.tag(i, pc))
 	}
 	for i := p.cfg.NumTables - 1; i >= 0; i-- {
 		e := &p.tables[i].entries[pr.indices[i]]
-		if e.valid && e.tag == pr.tags[i] {
+		if e.valid && e.tag == uint32(pr.tags[i]) {
 			pr.provider = i
 			pr.Target = e.target
 			pr.Valid = true
@@ -266,7 +294,7 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 
 // Update trains the predictor with the actual target and pushes nothing
 // into history (the front-end pushes history for every taken branch via
-// PushHistory, keeping one global ordering).
+// SpecPush and ArchPush, keeping one global ordering).
 func (p *Predictor) Update(pc uint64, pred Prediction, actual uint64) {
 	p.stats.Predicts++
 	correct := pred.Valid && pred.Target == actual
@@ -317,7 +345,7 @@ func (p *Predictor) Update(pc uint64, pred Prediction, actual uint64) {
 		for i := pred.provider + 1; i < p.cfg.NumTables; i++ {
 			e := &p.tables[i].entries[pred.indices[i]]
 			if !e.valid || e.u == 0 {
-				*e = taggedEntry{tag: pred.tags[i], target: actual, ctr: 0, valid: true}
+				*e = taggedEntry{tag: uint32(pred.tags[i]), target: actual, ctr: 0, valid: true}
 				p.stats.Allocations++
 				return
 			}

@@ -14,7 +14,10 @@
 // change). Global history therefore always reflects the true path.
 package tage
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -32,6 +35,27 @@ type Config struct {
 	UseLoop bool
 	// UseSC enables the statistical-corrector bias table.
 	UseSC bool
+}
+
+// maxTables bounds Config.NumTables, and maxIndexBits bounds
+// Config.LogTagged and Config.TagBits: a Prediction records one table
+// index and one tag per tagged table in fixed [maxTables]uint16 arrays.
+const (
+	maxTables    = 16
+	maxIndexBits = 16
+)
+
+// Validate reports geometry the compact Prediction metadata cannot hold.
+func (c Config) Validate() error {
+	switch {
+	case c.NumTables > maxTables:
+		return fmt.Errorf("tage: NumTables %d exceeds %d", c.NumTables, maxTables)
+	case c.LogTagged > maxIndexBits:
+		return fmt.Errorf("tage: LogTagged %d exceeds %d bits", c.LogTagged, maxIndexBits)
+	case c.TagBits > maxIndexBits:
+		return fmt.Errorf("tage: TagBits %d exceeds %d bits", c.TagBits, maxIndexBits)
+	}
+	return nil
 }
 
 // DefaultConfig approximates the paper's 64KB TAGE-SC-L budget.
@@ -66,7 +90,7 @@ func (c Config) StorageBits() int {
 type Stats struct {
 	Predicts      uint64
 	Mispredicts   uint64
-	ProviderHits  [16]uint64 // per-table provider counts (0 = bimodal)
+	ProviderHits  [maxTables]uint64 // per-table provider counts (0 = bimodal)
 	LoopOverrides uint64
 	SCOverrides   uint64
 	Allocations   uint64
@@ -155,7 +179,9 @@ type loopEntry struct {
 }
 
 // Prediction carries everything Update needs: the predicted direction
-// and the provider bookkeeping.
+// and the provider bookkeeping. Indices and tags are stored in 16 bits
+// (Config.Validate bounds both widths), which keeps a Prediction at 96
+// bytes: the front-end carries one per conditional in every FTQ block.
 type Prediction struct {
 	// Taken is the final predicted direction.
 	Taken bool
@@ -163,8 +189,8 @@ type Prediction struct {
 	provider  int // -1 = bimodal
 	altTaken  bool
 	provTaken bool
-	indices   [16]uint32
-	tags      [16]uint32
+	indices   [maxTables]uint16
+	tags      [maxTables]uint16
 	baseIdx   uint32
 	loopHit   bool
 	loopTaken bool
@@ -324,8 +350,8 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 	for i := p.cfg.NumTables - 1; i >= 0; i-- {
 		idx := p.index(i, pc)
 		tg := p.tag(i, pc)
-		pr.indices[i] = idx
-		pr.tags[i] = tg
+		pr.indices[i] = uint16(idx)
+		pr.tags[i] = uint16(tg)
 		e := &p.tables[i].entries[idx]
 		if e.tag == tg {
 			if prov < 0 {
@@ -499,7 +525,7 @@ func (p *Predictor) allocate(pc uint64, pred Prediction, taken bool, prov int) {
 	for i := start; i < p.cfg.NumTables; i++ {
 		e := &p.tables[i].entries[pred.indices[i]]
 		if e.u == 0 {
-			e.tag = pred.tags[i]
+			e.tag = uint32(pred.tags[i])
 			if taken {
 				e.ctr = 0
 			} else {
